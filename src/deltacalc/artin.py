@@ -15,6 +15,12 @@ so its nilpotency index is the least s at which every coefficient's
 2^s-th power vanishes.  The closed form is validated against a brute-force
 expansion of the divided power axioms in the free divided power algebra
 over the ring.
+
+That free divided power algebra over a ring is the one divided-power
+engine of the package: GF(2) is the ring ``F2`` with no variables, and
+``gamma`` runs its GF(2) arithmetic and axiom suite through it.  This
+module therefore sits below ``gamma`` and ``exprs``, and it imports
+``exprs`` only inside the methods that parse and print rings.
 """
 
 from __future__ import annotations
@@ -26,8 +32,6 @@ import json
 
 from .errors import DomainError
 from .f2 import binom_mod2
-from .gamma import AXIOM_NAMES, AxiomReport
-from . import exprs
 
 RingElement = frozenset  # frozenset[tuple[int, ...]] of normal-form exponent vectors
 
@@ -57,6 +61,8 @@ class ArtinRing:
 
     @classmethod
     def from_json(cls, source) -> "ArtinRing":
+        from . import exprs
+
         if isinstance(source, str):
             source = json.loads(source)
         variables = tuple(source["vars"])
@@ -66,6 +72,8 @@ class ArtinRing:
         return cls(variables, relations)
 
     def to_json(self) -> dict:
+        from . import exprs
+
         return {
             "vars": list(self.variables),
             "relations": [exprs.format_ring_monomial(r, self.variables) for r in self.relations],
@@ -106,9 +114,13 @@ class ArtinRing:
         return [m for m in product(*(range(b) for b in bounds)) if self.is_normal(m)]
 
     def parse(self, text: str) -> RingElement:
+        from . import exprs
+
         return self.element(exprs.parse_ring_element(text, self.variables))
 
     def format(self, elem: RingElement) -> str:
+        from . import exprs
+
         return exprs.format_ring_element(elem, self.variables)
 
 
@@ -204,34 +216,35 @@ def gamma2_nilpotency_index(w: MixedElement) -> int:
     return max((coefficient_nilpotency(w.ring, c) for c, _ in w.terms), default=0)
 
 
-# --- brute-force expansion in the free divided power algebra over the ring ---
+# --- the free divided power algebra over a ring ---
 #
 # Elements are dicts mapping a monomial (frozenset of (generator, e) pairs,
-# each factor gamma_{2^e}(generator)) to its ring coefficient.
+# each factor gamma_{2^e}(generator)) to its nonzero ring coefficient.
+# Generators are any hashable labels; no order on them is needed.
 
 GammaOverR = dict
 
-
-def _gr_add(a: GammaOverR, b: GammaOverR) -> GammaOverR:
-    out = dict(a)
-    for m, c in b.items():
-        c2 = out.get(m, frozenset()) ^ c
-        if c2:
-            out[m] = c2
-        else:
-            out.pop(m, None)
-    return out
+F2 = ArtinRing((), ())  # GF(2): the ring with no variables
 
 
-def _gr_mul(ring: ArtinRing, a: GammaOverR, b: GammaOverR) -> GammaOverR:
-    out: GammaOverR = {}
+def add_term(out: GammaOverR, mono: frozenset, coef: RingElement) -> None:
+    """Add coef * mono to out in place, dropping a coefficient that cancels."""
+    total = out.pop(mono, frozenset()) ^ coef
+    if total:
+        out[mono] = total
+
+
+def gr_multiply(ring: ArtinRing, a: GammaOverR, b: GammaOverR, out=None) -> GammaOverR:
+    """The product a * b, added in place to ``out`` when one is given.
+
+    Monomials sharing a factor multiply to zero: a repeated gamma factor
+    squares to C(2^(e+1), 2^e) = 0 mod 2 times the next one.
+    """
+    out = {} if out is None else out
     for ma, ca in a.items():
         for mb, cb in b.items():
-            if ma & mb:
-                continue  # repeated gamma factor squares to zero
-            c = ring_multiply(ring, ca, cb)
-            if c:
-                out = _gr_add(out, {ma | mb: c})
+            if not ma & mb:
+                add_term(out, ma | mb, ring_multiply(ring, ca, cb))
     return out
 
 
@@ -239,34 +252,42 @@ def _gr_unit(ring: ArtinRing) -> GammaOverR:
     return {frozenset(): ring.one()}
 
 
-def _gr_gamma_monomial(ring: ArtinRing, mono: frozenset, coef: RingElement, k: int) -> GammaOverR:
+def _bit_positions(k: int):
+    b = 0
+    while k:
+        if k & 1:
+            yield b
+        k >>= 1
+        b += 1
+
+
+def _gr_gamma_term(ring: ArtinRing, mono: frozenset, coef: RingElement, k: int) -> GammaOverR:
     """gamma_k of a single term coef * mono, by the scalar and factor rules."""
     if k == 0:
         return _gr_unit(ring)
-    scaled = ring_power(ring, coef, k)
-    if not scaled:
-        return {}
     if k == 1:
-        return {mono: scaled}
+        return {mono: coef}
     if not mono:
         raise DomainError("divided powers are undefined on degree-0 terms")
     if len(mono) >= 2:
-        return {}  # vanishes on products of positive-degree elements
+        return {}  # gamma_k vanishes on products of positive-degree elements
+    scaled = ring_power(ring, coef, k)
+    if not scaled:
+        return {}
     ((g, e),) = mono
-    shifted = k << e
-    bits = []
-    b = 0
-    while shifted:
-        if shifted & 1:
-            bits.append(b)
-        shifted >>= 1
-        b += 1
-    return {frozenset((g, e2) for e2 in bits): scaled}
+    return {frozenset((g, b) for b in _bit_positions(k << e)): scaled}
 
 
 def gr_gamma(ring: ArtinRing, elem: GammaOverR, k: int) -> GammaOverR:
-    """gamma_k over the ring, distributing across the terms of the element."""
-    terms = sorted(elem.items(), key=lambda kv: sorted(kv[0]))
+    """The divided power gamma_k over the ring, expanded through the axioms.
+
+    gamma_k of a sum distributes as the sum over r of gamma_r(head) times
+    gamma_(k-r)(rest); on a single factor, k splits along its binary
+    expansion.  The result is a sum, so the order of the terms is free.
+    """
+    if k < 0:
+        raise DomainError(f"negative divided power {k}")
+    terms = list(elem.items())
 
     def go(idx: int, k: int) -> GammaOverR:
         if k == 0:
@@ -276,11 +297,9 @@ def gr_gamma(ring: ArtinRing, elem: GammaOverR, k: int) -> GammaOverR:
         mono, coef = terms[idx]
         out: GammaOverR = {}
         for r in range(k + 1):
-            head = _gr_gamma_monomial(ring, mono, coef, r)
-            if not head:
-                continue
-            tail = go(idx + 1, k - r)
-            out = _gr_add(out, _gr_mul(ring, head, tail))
+            head = _gr_gamma_term(ring, mono, coef, r)
+            if head:
+                gr_multiply(ring, head, go(idx + 1, k - r), out)
         return out
 
     return go(0, k)
@@ -295,9 +314,7 @@ def gamma2_oracle_expand(w: MixedElement, s: int) -> GammaOverR:
     """
     if s > 4 or len(w.terms) > 6:
         raise DomainError("oracle expansion is limited to s <= 4 and <= 6 terms")
-    elem: GammaOverR = {}
-    for coef, gen in w.terms:
-        elem = _gr_add(elem, {frozenset({(gen, 0)}): coef})
+    elem = {frozenset({(gen, 0)}): coef for coef, gen in w.terms}
     for _ in range(s):
         elem = gr_gamma(w.ring, elem, 2)
     return elem
@@ -370,35 +387,35 @@ def andre_report(ring: ArtinRing, witnesses) -> AndreReport:
     return AndreReport(ring, mi, bound, reports)
 
 
-# --- axiom fuzzing with ring coefficients ---
+# --- axiom fuzzing ---
 
 
-def _sample_ring_element(rng: random.Random, ring: ArtinRing, monos) -> RingElement:
-    picks = rng.sample(monos, k=rng.randint(0, min(3, len(monos))))
-    return ring.element(picks)
+@dataclass
+class AxiomReport:
+    """Pass/fail tallies for the divided power algebra axioms."""
+
+    trials: int
+    checked: dict[str, int]
+    failures: dict[str, int]
+
+    @property
+    def ok(self) -> bool:
+        return not any(self.failures.values())
 
 
-def _sample_gamma_element(rng: random.Random, ring: ArtinRing, monos) -> GammaOverR:
-    gens = ("a", "b", "c")
-    out: GammaOverR = {}
-    for _ in range(rng.randint(1, 3)):
-        nfac = rng.randint(1, 2)
-        mono = frozenset((rng.choice(gens), rng.randint(0, 2)) for _ in range(nfac))
-        coef = _sample_ring_element(rng, ring, monos)
-        if coef:
-            out = _gr_add(out, {mono: coef})
-    return out
+AXIOM_NAMES = ("gamma0_gamma1", "same_argument_product", "sum_rule", "product_vanishing",
+               "scalar_rule", "square_composition")
 
 
-def gamma_axiom_suite_over_ring(ring: ArtinRing, trials: int, seed: int = 0) -> AxiomReport:
-    """Fuzz the divided power axioms with coefficients in the given ring.
+def axiom_suite(ring: ArtinRing, sample, scalars, max_k: int, trials: int,
+                seed: int) -> AxiomReport:
+    """Fuzz the divided power axioms over the ring.
 
-    The scalar rule gamma_k(c*y) = c^k gamma_k(y) is the one axiom that
-    only has content with nontrivial degree-0 coefficients, which is why
-    the suite runs over an Artin ring and not just GF(2).
+    Each trial draws x = sample(rng), y = sample(rng) (positive-degree
+    elements), then h and k in [0, max_k], then the degree-0 coefficients
+    scalars(rng) for the scalar rule gamma_k(c*x) = c^k gamma_k(x).
     """
     rng = random.Random(seed)
-    monos = ring.normal_monomials()
     checked = {a: 0 for a in AXIOM_NAMES}
     failures = {a: 0 for a in AXIOM_NAMES}
 
@@ -407,41 +424,68 @@ def gamma_axiom_suite_over_ring(ring: ArtinRing, trials: int, seed: int = 0) -> 
         if not passed:
             failures[axiom] += 1
 
+    def scalar(c: RingElement) -> GammaOverR:
+        return {frozenset(): c} if c else {}
+
     for _ in range(trials):
-        x = _sample_gamma_element(rng, ring, monos)
-        y = _sample_gamma_element(rng, ring, monos)
-        h = rng.randint(0, 3)
-        k = rng.randint(0, 3)
+        x = sample(rng)
+        y = sample(rng)
+        h = rng.randint(0, max_k)
+        k = rng.randint(0, max_k)
 
         tally("gamma0_gamma1",
               gr_gamma(ring, x, 0) == _gr_unit(ring) and gr_gamma(ring, x, 1) == x)
 
-        lhs = _gr_mul(ring, gr_gamma(ring, x, h), gr_gamma(ring, x, k))
+        lhs = gr_multiply(ring, gr_gamma(ring, x, h), gr_gamma(ring, x, k))
         rhs = gr_gamma(ring, x, h + k) if binom_mod2(h + k, h) else {}
         tally("same_argument_product", lhs == rhs)
 
         expansion: GammaOverR = {}
         for r in range(k + 1):
-            expansion = _gr_add(
-                expansion,
-                _gr_mul(ring, gr_gamma(ring, x, r), gr_gamma(ring, y, k - r)),
-            )
-        tally("sum_rule", gr_gamma(ring, _gr_add(x, y), k) == expansion)
+            gr_multiply(ring, gr_gamma(ring, x, r), gr_gamma(ring, y, k - r), expansion)
+        x_plus_y = dict(x)
+        for mono, coef in y.items():
+            add_term(x_plus_y, mono, coef)
+        tally("sum_rule", gr_gamma(ring, x_plus_y, k) == expansion)
 
-        prod = _gr_mul(ring, x, y)
+        prod = gr_multiply(ring, x, y)
         tally("product_vanishing",
-              all(not gr_gamma(ring, prod, kk) for kk in range(2, 4)) if prod else True)
+              all(not gr_gamma(ring, prod, kk) for kk in range(2, max_k + 1)))
 
-        c = _sample_ring_element(rng, ring, monos)
         kk = max(k, 1)
-        scaled = {m: ring_multiply(ring, c, co) for m, co in x.items()}
-        scaled = {m: co for m, co in scaled.items() if co}
-        expect = {m: ring_multiply(ring, ring_power(ring, c, kk), co)
-                  for m, co in gr_gamma(ring, x, kk).items()}
-        expect = {m: co for m, co in expect.items() if co}
-        tally("scalar_rule", gr_gamma(ring, scaled, kk) == expect)
+        tally("scalar_rule", all(
+            gr_gamma(ring, gr_multiply(ring, scalar(c), x), kk)
+            == gr_multiply(ring, scalar(ring_power(ring, c, kk)), gr_gamma(ring, x, kk))
+            for c in scalars(rng)))
 
         tally("square_composition",
               gr_gamma(ring, gr_gamma(ring, x, 2), k) == gr_gamma(ring, x, 2 * k))
 
     return AxiomReport(trials, checked, failures)
+
+
+def _sample_ring_element(rng: random.Random, ring: ArtinRing, monos) -> RingElement:
+    picks = rng.sample(monos, k=rng.randint(0, min(3, len(monos))))
+    return ring.element(picks)
+
+
+def gamma_axiom_suite_over_ring(ring: ArtinRing, trials: int, seed: int = 0) -> AxiomReport:
+    """Fuzz the divided power axioms with coefficients in the given ring, up to gamma_3.
+
+    Elements are sums of up to three terms over the generators a, b, c.
+    The scalar rule gamma_k(c*y) = c^k gamma_k(y) is the one axiom that
+    only has content with nontrivial degree-0 coefficients, which is why
+    the suite runs over an Artin ring and not just GF(2).
+    """
+    monos = ring.normal_monomials()
+
+    def sample(rng: random.Random) -> GammaOverR:
+        out: GammaOverR = {}
+        for _ in range(rng.randint(1, 3)):
+            nfac = rng.randint(1, 2)
+            mono = frozenset((rng.choice("abc"), rng.randint(0, 2)) for _ in range(nfac))
+            add_term(out, mono, _sample_ring_element(rng, ring, monos))
+        return out
+
+    return axiom_suite(ring, sample, lambda rng: (_sample_ring_element(rng, ring, monos),),
+                       3, trials, seed)

@@ -4,15 +4,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import artin, e1, exprs, gamma
 from . import words as wd
 from .errors import DomainError, RangeError
 from .f2 import GradedDims
-from .gamma import AxiomReport
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -29,23 +27,8 @@ exit codes:
   4  domain/precondition violation
   5  integer range overflow (indices must stay below 2^32)
 
-environment:
-  DELTA_CALC_THREADS   caps internal parallelism for batch verification
-                       commands (0 or unset = auto)
-
 JSON outputs follow the schemas shipped in docs/.
 """
-
-
-def worker_count() -> int:
-    raw = os.environ.get("DELTA_CALC_THREADS", "0")
-    try:
-        val = int(raw)
-    except ValueError:
-        val = 0
-    if val <= 0:
-        val = os.cpu_count() or 1
-    return max(1, val)
 
 
 def _load_json_arg(value: str, what: str):
@@ -63,15 +46,26 @@ def _load_json_arg(value: str, what: str):
         raise exprs.ParseError(f"invalid {what} JSON: {err.msg}", text, err.pos) from err
 
 
+_DEGREE_KEY = re.compile(r"0|[1-9][0-9]*")  # propertyNames in docs/graded-dims.schema.json
+
+
 def _graded_dims(value: str) -> GradedDims:
-    return GradedDims.from_json(_load_json_arg(value, "dimension table"))
+    table = _load_json_arg(value, "dimension table")
+    if isinstance(table, dict):
+        for deg, dim in table.items():
+            # bool is an int subclass, and JSON true is not an integer
+            if not _DEGREE_KEY.fullmatch(deg) or type(dim) is not int:
+                raise exprs.ParseError(
+                    "a dimension table maps decimal degrees to integers, not "
+                    f"{json.dumps(deg)}: {json.dumps(dim)}", value, 0)
+    return GradedDims.from_json(table)
 
 
 def _ring(value: str) -> artin.ArtinRing:
     return artin.ArtinRing.from_json(_load_json_arg(value, "ring"))
 
 
-def _axiom_report_json(report: AxiomReport) -> dict:
+def _axiom_report_json(report: artin.AxiomReport) -> dict:
     return {"checked": report.checked, "failures": report.failures, "ok": report.ok}
 
 
@@ -229,40 +223,8 @@ _AXIOM_RING = artin.ArtinRing(("t",), ((4,),))
 
 def _cmd_axioms(args):
     trials = args.trials
-    workers = min(worker_count(), max(1, trials // 50))
-
-    def run(suite, chunk_args):
-        if workers == 1 or len(chunk_args) == 1:
-            reports = [suite(*a) for a in chunk_args]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                reports = list(pool.map(lambda a: suite(*a), chunk_args))
-        merged = AxiomReport(0, {a: 0 for a in gamma.AXIOM_NAMES},
-                             {a: 0 for a in gamma.AXIOM_NAMES})
-        for r in reports:
-            merged.trials += r.trials
-            for a in gamma.AXIOM_NAMES:
-                merged.checked[a] += r.checked[a]
-                merged.failures[a] += r.failures[a]
-        return merged
-
-    def chunks(seed):
-        per = max(1, trials // workers)
-        out = []
-        done = 0
-        k = 0
-        while done < trials:
-            size = min(per, trials - done)
-            out.append((size, seed + k))
-            done += size
-            k += 1
-        return out
-
-    f2_report = run(gamma.gamma_axiom_suite, chunks(args.seed))
-    ring_report = run(
-        lambda n, s: artin.gamma_axiom_suite_over_ring(_AXIOM_RING, n, s),
-        chunks(args.seed + 10_000),
-    )
+    f2_report = gamma.gamma_axiom_suite(trials, args.seed)
+    ring_report = artin.gamma_axiom_suite_over_ring(_AXIOM_RING, trials, args.seed + 10_000)
     payload = {
         "trials": trials,
         "f2": _axiom_report_json(f2_report),

@@ -8,7 +8,9 @@ each polynomial generator ``x_n`` of W and each admissible word I with
 the divided square, so a basis monomial is a product of factors
 ``gamma_{2^e}(g)`` over *distinct* pairs (g, e): a repeated factor squares
 to zero.  Elements are frozensets of monomials with GF(2) coefficients by
-membership.
+membership.  Products, divided powers and the axiom suite run in
+``artin``'s divided power algebra over a ring, with GF(2) as the ring
+``artin.F2`` that has no variables.
 
 The action of delta_i is computed through the word calculus: a factor
 ``gamma_{2^e}(delta_I x_n)`` is the admissible word made of e doubling
@@ -21,12 +23,13 @@ gamma-power prefixes, and words of excess < n are plain generators.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
+from . import artin
 from . import words as wd
+from .artin import AXIOM_NAMES, AxiomReport  # AXIOM_NAMES stays public here
 from .errors import DomainError
-from .f2 import GradedDims, binom_mod2
+from .f2 import GradedDims
 
 Element = frozenset  # frozenset[SMonomial]
 
@@ -113,53 +116,20 @@ def element_degree(elem: Element) -> int | None:
     return degs.pop()
 
 
+_F2_ONE = artin.F2.one()
+
+
+def _over_f2(elem: Element) -> artin.GammaOverR:
+    return {m.factors: _F2_ONE for m in elem}
+
+
+def _from_f2(elem: artin.GammaOverR) -> Element:
+    return frozenset(SMonomial(f) for f in elem)
+
+
 def multiply(a: Element, b: Element) -> Element:
     """Bilinear product; monomials sharing a factor multiply to zero."""
-    out: set = set()
-    for ma in a:
-        for mb in b:
-            if ma.factors & mb.factors:
-                continue
-            out ^= {SMonomial(ma.factors | mb.factors)}
-    return frozenset(out)
-
-
-def _bit_positions(k: int):
-    b = 0
-    while k:
-        if k & 1:
-            yield b
-        k >>= 1
-        b += 1
-
-
-def _gamma_monomial(mon: SMonomial, k: int) -> Element:
-    if k == 0:
-        return ONE
-    if k == 1:
-        return frozenset({mon})
-    if not mon.factors:
-        raise DomainError("divided powers are undefined on the unit")
-    if len(mon.factors) >= 2:
-        return ZERO  # gamma_k vanishes on products of positive-degree elements
-    ((g, e),) = mon.factors
-    return frozenset({SMonomial(frozenset((g, b) for b in _bit_positions(k << e)))})
-
-
-def _gamma_sum(mons: list[SMonomial], k: int) -> Element:
-    if k == 0:
-        return ONE
-    if not mons:
-        return ZERO
-    head, rest = mons[0], mons[1:]
-    out: set = set()
-    for r in range(k + 1):
-        gh = _gamma_monomial(head, r)
-        if not gh:
-            continue
-        gr = _gamma_sum(rest, k - r)
-        out ^= multiply(gh, gr)
-    return frozenset(out)
+    return _from_f2(artin.gr_multiply(artin.F2, _over_f2(a), _over_f2(b)))
 
 
 def gamma_power(elem: Element, k: int) -> Element:
@@ -169,9 +139,7 @@ def gamma_power(elem: Element, k: int) -> Element:
     distributes over sums; gamma_k of a product of two positive-degree
     elements vanishes for k >= 2.
     """
-    if k < 0:
-        raise DomainError(f"negative divided power {k}")
-    return _gamma_sum(sorted(elem, key=lambda m: m.sort_key), k)
+    return _from_f2(artin.gr_gamma(artin.F2, _over_f2(elem), k))
 
 
 def _gamma_prefix_word(g: FreeGenerator, e: int) -> wd.Word:
@@ -406,77 +374,22 @@ def nilpotency_probe(kind: str, start: FreeGenerator, max_iter: int) -> ProbeRes
     return ProbeResult(kind, start, "nonvanishing", None, max_iter, trajectory)
 
 
-@dataclass
-class AxiomReport:
-    """Pass/fail tallies for the divided power algebra axioms."""
-
-    trials: int
-    checked: dict[str, int]
-    failures: dict[str, int]
-
-    @property
-    def ok(self) -> bool:
-        return not any(self.failures.values())
-
-
-AXIOM_NAMES = ("gamma0_gamma1", "same_argument_product", "sum_rule", "product_vanishing",
-               "scalar_rule", "square_composition")
-
-
-def _sample_element(rng: random.Random, pool: list[SMonomial], max_terms: int = 3) -> Element:
-    k = rng.randint(1, max_terms)
-    out: set = set()
-    for _ in range(k):
-        out ^= {rng.choice(pool)}
-    return frozenset(out)
-
-
 def gamma_axiom_suite(trials: int, seed: int = 0, pool=None) -> AxiomReport:
-    """Fuzz the divided power axioms on random elements over GF(2).
+    """Fuzz the divided power axioms on random elements over GF(2), up to gamma_4.
 
-    Samples are drawn from ``pool`` (positive-degree basis monomials); by
-    default, the basis on one generator each of degrees 1, 2, 3.
+    Samples are sums of up to three monomials from ``pool`` (positive-degree
+    basis monomials); by default, the basis on one generator each of
+    degrees 1, 2, 3.  The scalar rule is checked for both scalars, 0 and 1.
     """
-    rng = random.Random(seed)
     if pool is None:
         pool = [m for m in s_basis([(1, 1), (2, 1), (3, 1)], 9).monomials if m.factors]
-    checked = {a: 0 for a in AXIOM_NAMES}
-    failures = {a: 0 for a in AXIOM_NAMES}
+    factors = [m.factors for m in pool]
 
-    def tally(axiom: str, passed: bool):
-        checked[axiom] += 1
-        if not passed:
-            failures[axiom] += 1
+    def sample(rng) -> artin.GammaOverR:
+        out: artin.GammaOverR = {}
+        for _ in range(rng.randint(1, 3)):
+            artin.add_term(out, rng.choice(factors), _F2_ONE)
+        return out
 
-    for _ in range(trials):
-        x = _sample_element(rng, pool)
-        y = _sample_element(rng, pool)
-        h = rng.randint(0, 4)
-        k = rng.randint(0, 4)
-
-        tally("gamma0_gamma1",
-              gamma_power(x, 0) == ONE and gamma_power(x, 1) == x)
-
-        lhs = multiply(gamma_power(x, h), gamma_power(x, k))
-        rhs = gamma_power(x, h + k) if binom_mod2(h + k, h) else ZERO
-        tally("same_argument_product", lhs == rhs)
-
-        expansion: set = set()
-        for r in range(k + 1):
-            expansion ^= multiply(gamma_power(x, r), gamma_power(y, k - r))
-        tally("sum_rule", gamma_power(x ^ y, k) == frozenset(expansion))
-
-        prod = multiply(x, y)
-        tally("product_vanishing",
-              all(gamma_power(prod, kk) == ZERO for kk in range(2, 5)) if prod else True)
-
-        # degree-0 scalars over GF(2) are 0 and 1
-        kk = max(k, 1)
-        tally("scalar_rule",
-              gamma_power(ZERO, kk) == ZERO
-              and gamma_power(multiply(ONE, x), kk) == gamma_power(x, kk))
-
-        tally("square_composition",
-              gamma_power(gamma_power(x, 2), k) == gamma_power(x, 2 * k))
-
-    return AxiomReport(trials, checked, failures)
+    return artin.axiom_suite(artin.F2, sample, lambda rng: (artin.F2.zero(), _F2_ONE),
+                             4, trials, seed)

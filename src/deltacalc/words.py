@@ -217,11 +217,11 @@ class AlphaWord:
 
 
 def alpha_stages_valid(indices: Iterable[int], source_degree: int) -> bool:
-    m = source_degree
-    for a in reversed(tuple(indices)):
-        if not 0 <= a <= m - 2:
-            return False
-        m = 2 * m - a
+    """Whether the alpha word passes AlphaWord's stage check on the degree."""
+    try:
+        AlphaWord(tuple(indices), source_degree)
+    except DomainError:
+        return False
     return True
 
 

@@ -1,9 +1,12 @@
 import random
+from collections import Counter, defaultdict
+from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deltacalc import artin
+from deltacalc import artin, gamma
 from deltacalc.errors import DomainError
 
 T3 = artin.ArtinRing(("t",), ((3,),))
@@ -188,3 +191,95 @@ def test_axiom_suite_over_ring_clean():
     report = artin.gamma_axiom_suite_over_ring(T4, trials=150, seed=11)
     assert report.ok
     assert all(report.checked[a] == 150 for a in report.checked)
+
+
+# --- independent oracle: gamma_k(x) = x^k / k! over the rationals ------------
+#
+# An engine element lifts to Q[generators, ring variables]: the factor
+# gamma_{2^e}(g) becomes g^(2^e) / (2^e)!, a ring coefficient the same
+# monomials, and monomials in the ring's relations are dropped (the ideal is
+# monomial, so this commutes with reduction mod 2).  x^k / k! is computed
+# there exactly and mapped back by g^N = N! gamma_N(g), reduced mod 2, with
+# gamma_N(g) = prod over the bits b of N of gamma_{2^b}(g).
+
+def q_lift(elem):
+    out = defaultdict(Fraction)
+    for mono, coef in elem.items():
+        gexp = Counter()
+        for g, e in mono:
+            gexp[g] += 2**e
+        scale = Fraction(1, prod(factorial(2**e) for _, e in mono))
+        for t in coef:
+            out[(frozenset(gexp.items()), t)] += scale
+    return out
+
+
+def q_multiply(ring, a, b):
+    out = defaultdict(Fraction)
+    for (ga, ta), qa in a.items():
+        for (gb, tb), qb in b.items():
+            t = tuple(x + y for x, y in zip(ta, tb))
+            if ring.is_normal(t):
+                out[(frozenset((Counter(dict(ga)) + Counter(dict(gb))).items()), t)] += qa * qb
+    return out
+
+
+def q_lower(poly):
+    out = defaultdict(set)
+    for (gexp, t), q in poly.items():
+        c = q * prod(factorial(n) for _, n in gexp)
+        assert c.denominator == 1, "divided powers must have integral coefficients"
+        if c.numerator % 2:
+            mono = frozenset((g, b) for g, n in gexp for b in range(n.bit_length()) if n >> b & 1)
+            out[mono] ^= {t}
+    return {mono: frozenset(coef) for mono, coef in out.items() if coef}
+
+
+def q_gamma(ring, elem, k):
+    x = q_lift(elem)
+    power = {(frozenset(), (0,) * len(ring.variables)): Fraction(1)}
+    for _ in range(k):
+        power = q_multiply(ring, power, x)
+    return q_lower({key: q / factorial(k) for key, q in power.items()})
+
+
+ORACLE_RINGS = [
+    artin.F2,
+    T4,
+    artin.ArtinRing(("u", "v"), ((3, 0), (0, 2), (2, 1))),
+]
+
+
+def random_gamma_element(rng, ring, gens):
+    monos = ring.normal_monomials()
+    out = {}
+    for _ in range(rng.randint(1, 3)):
+        mono = frozenset((rng.choice(gens), rng.randint(0, 2))
+                         for _ in range(rng.randint(1, 2)))
+        coef = ring.element(rng.sample(monos, k=rng.randint(1, min(3, len(monos)))))
+        artin.add_term(out, mono, coef)
+    return out
+
+
+@pytest.mark.parametrize("ring", ORACLE_RINGS, ids=lambda r: "*".join(r.variables) or "F2")
+def test_engine_matches_rational_oracle(ring):
+    # FreeGenerator labels have no order; the engine must not need one
+    gens = ["a", "b", gamma.FreeGenerator(3), gamma.FreeGenerator(2, 1, ())]
+    rng = random.Random(4321)
+    for _ in range(120):
+        x = random_gamma_element(rng, ring, gens)
+        y = random_gamma_element(rng, ring, gens)
+        k = rng.randint(0, 5)
+        assert artin.gr_gamma(ring, x, k) == q_gamma(ring, x, k), (x, k)
+        assert artin.gr_multiply(ring, x, y) == q_lower(
+            q_multiply(ring, q_lift(x), q_lift(y))), (x, y)
+
+
+def test_gf2_entry_points_match_rational_oracle():
+    pool = [m for m in gamma.s_basis([(1, 1), (2, 1), (3, 1)], 9).monomials if m.factors]
+    rng = random.Random(8765)
+    for _ in range(150):
+        x = frozenset(rng.sample(pool, k=rng.randint(1, 3)))
+        k = rng.randint(0, 5)
+        expected = q_gamma(artin.F2, {m.factors: artin.F2.one() for m in x}, k)
+        assert gamma.gamma_power(x, k) == frozenset(gamma.SMonomial(f) for f in expected)

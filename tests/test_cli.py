@@ -93,6 +93,12 @@ def test_exit_codes():
     code, _, err = run_cli(["nilpotency", "--ring", '{"vars":["t"],"relations":["t^3"]}',
                             "--element", '[{"bad": "t"}]'])
     assert code == 3
+    for hq in ('{"3":1.5}', '{"3":true}', '{"3":"x"}', '{"x":1}'):
+        for argv in (["sbasis", "--hq", hq, "--max-degree", "6"],
+                     ["e1", "--hq", hq, "--max-t", "6"]):
+            code, _, err = run_cli(argv)
+            assert code == 3 and err.startswith("deltacalc: "), (argv, err)
+            assert err.count("\n") == 1, (argv, err)
 
 
 def test_stats_and_theta_payloads(validators):
@@ -163,12 +169,18 @@ def test_module_entry_point():
     assert json.loads(result.stdout) == {"element": "d6 d3"}
 
 
-def test_thread_cap_respected(monkeypatch):
-    monkeypatch.setenv("DELTA_CALC_THREADS", "2")
-    assert cli.worker_count() == 2
-    monkeypatch.setenv("DELTA_CALC_THREADS", "0")
-    assert cli.worker_count() >= 1
-    monkeypatch.setenv("DELTA_CALC_THREADS", "junk")
-    assert cli.worker_count() >= 1
-    payload = run_json(["axioms", "--trials", "30"])
-    assert payload["ok"] is True
+def test_axioms_output_independent_of_thread_setting(monkeypatch):
+    # axioms draws one seeded stream per suite; DELTA_CALC_THREADS used to
+    # split it across threads, and 120 trials is where that split began.
+    outputs = []
+    for threads in (None, "1", "8"):
+        if threads is None:
+            monkeypatch.delenv("DELTA_CALC_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("DELTA_CALC_THREADS", threads)
+        outputs.append([run_cli([*fmt, "--seed", "5", "axioms", "--trials", "120"])
+                        for fmt in ([], ["--format", "json"])])
+    assert outputs[0] == outputs[1] == outputs[2]
+    (code, text, _), (_, payload, _) = outputs[0]
+    assert code == 0 and text.endswith("all axioms pass\n")
+    assert json.loads(payload)["ok"] is True

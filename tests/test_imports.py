@@ -1,0 +1,25 @@
+"""Every module imports on its own in a fresh interpreter.
+
+A load-time import cycle between the layers shows up as an ImportError for
+whichever module of the cycle is imported first.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).parent.parent / "src"
+MODULES = sorted(p.stem for p in (SRC / "deltacalc").glob("*.py"))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_alone(module):
+    name = "deltacalc" if module == "__init__" else f"deltacalc.{module}"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", f"import {name}"],
+                            capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
