@@ -415,6 +415,8 @@ def axiom_suite(ring: ArtinRing, sample, scalars, max_k: int, trials: int,
     elements), then h and k in [0, max_k], then the degree-0 coefficients
     scalars(rng) for the scalar rule gamma_k(c*x) = c^k gamma_k(x).
     """
+    if trials < 0:
+        raise DomainError(f"trial count must be >= 0, got {trials}")
     rng = random.Random(seed)
     checked = {a: 0 for a in AXIOM_NAMES}
     failures = {a: 0 for a in AXIOM_NAMES}

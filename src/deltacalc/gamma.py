@@ -307,7 +307,8 @@ def s_basis(gens, max_degree: int) -> SBasis:
                 continue
             grow(k + 1, chosen + ((g, e),), total + d)
 
-    grow(0, (), 0)
+    if max_degree >= 0:
+        grow(0, (), 0)
     monomials.sort(key=lambda m: m.sort_key)
 
     by_degree: dict[int, int] = {}
@@ -358,6 +359,8 @@ def nilpotency_probe(kind: str, start: FreeGenerator, max_iter: int) -> ProbeRes
     _probe_index(kind, 4)  # reject unknown kinds up front
     if start.degree < 2:
         raise DomainError("probes need a starting generator of degree >= 2")
+    if max_iter < 0:
+        raise DomainError(f"probe iteration count must be >= 0, got {max_iter}")
     current = generator_element(start)
     trajectory = [current]
     for step in range(1, max_iter + 1):

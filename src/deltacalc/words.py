@@ -14,6 +14,16 @@ where an empty summation range means zero; every emitted pair is
 admissible since ``s <= (i+j)/3``.  Elements are frozensets of words:
 membership is a mod-2 coefficient and addition is symmetric difference.
 
+A word reduces right to left, multiplying a sum of admissible words on
+the left by one index at a time.  delta_i times an admissible ``(j, *t)``
+is ``(i, j, *t)`` when ``i >= 2j``; otherwise it is the sum, over the Adem
+terms delta_a delta_b of delta_i delta_j, of delta_a times each word of
+delta_b times ``t``.  The admissible words are a PBW basis of a Koszul
+algebra (Priddy, *Koszul resolutions*, Trans. AMS 152, 1970), so every
+order of Adem rewriting reaches this one normal form; the recursion ends
+because each product is on a shorter tail or a word of lower moment.
+Products of one index and one admissible word share a memo of fixed size.
+
 The statistics of a word ``I = (i1, ..., is)`` are its degree
 ``d(I) = i1 + ... + is``, its length ``s``, and its excess
 ``e(I) = i1 - i2 - ... - is`` (0 for the empty word).  Excess controls
@@ -29,6 +39,7 @@ factor by factor, rightmost first, updating the running degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 from .errors import DomainError
@@ -40,11 +51,9 @@ Element = frozenset  # frozenset[Word], GF(2) coefficients by membership
 ZERO: Element = frozenset()
 IDENTITY: Word = ()
 
-_STRATEGIES = ("leftmost", "rightmost")
-
-# Normal forms are memoized per rewriting strategy; entries are pure values
-# so concurrent use at worst recomputes.
-_NF_MEMO: dict[str, dict[Word, Element]] = {s: {} for s in _STRATEGIES}
+# Entries of the left-multiplication memo, about 35 MB when full.  Words of
+# length 6 need about 27 each with indices up to 32, and 370 up to 64.
+_LEFT_MUL_MEMO_SIZE = 1 << 16
 
 
 def check_word(word: Iterable[int]) -> Word:
@@ -100,53 +109,37 @@ def _adem(i: int, j: int) -> Element:
     return frozenset(out)
 
 
-def _find_pair(word: Word, strategy: str) -> int | None:
-    rng = range(len(word) - 1)
-    if strategy == "rightmost":
-        rng = reversed(rng)
-    for t in rng:
-        if word[t] < 2 * word[t + 1]:
-            return t
-    return None
+@lru_cache(maxsize=_LEFT_MUL_MEMO_SIZE)
+def _left_mul(i: int, word: Word) -> Element:
+    """delta_i times an admissible word, as a sum of admissible words."""
+    if not word or i >= 2 * word[0]:
+        return frozenset({(i,) + word})
+    out: set = set()
+    for a, b in _adem(i, word[0]):
+        for y in _left_mul(b, word[1:]):
+            out ^= _left_mul(a, y)
+    return frozenset(out)
 
 
-def _normal_form(word: Word, strategy: str) -> Element:
-    memo = _NF_MEMO[strategy]
-    stack = [word]
-    while stack:
-        w = stack[-1]
-        if w in memo:
-            stack.pop()
-            continue
-        p = _find_pair(w, strategy)
-        if p is None:
-            memo[w] = frozenset({w})
-            stack.pop()
-            continue
-        reps = [w[:p] + pair + w[p + 2:] for pair in sorted(_adem(w[p], w[p + 1]))]
-        pending = [r for r in reps if r not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        acc: set = set()
-        for r in reps:
-            acc ^= memo[r]
-        memo[w] = frozenset(acc)
-        stack.pop()
-    return memo[word]
+def _normal_form(word: Word) -> Element:
+    acc: Element = frozenset({IDENTITY})
+    for i in reversed(word):
+        out: set = set()
+        for w in acc:
+            out ^= _left_mul(i, w)
+        acc = frozenset(out)
+    return acc
 
 
-def reduce(words: Iterable[Iterable[int]], strategy: str = "leftmost") -> Element:
+def reduce(words: Iterable[Iterable[int]]) -> Element:
     """Admissible normal form of a GF(2) sum of arbitrary words.
 
-    Inadmissible adjacent pairs are rewritten repeatedly (deterministically
-    at the leftmost pair unless told otherwise) and duplicates cancel mod 2.
+    Each word is reduced right to left by left multiplication onto
+    admissible tails (see the module docstring); duplicates cancel mod 2.
     """
-    if strategy not in _STRATEGIES:
-        raise DomainError(f"unknown strategy {strategy!r}")
     out: set = set()
     for w in words:
-        out ^= _normal_form(check_word(w), strategy)
+        out ^= _normal_form(check_word(w))
     return frozenset(out)
 
 
@@ -155,7 +148,7 @@ def compose(a: Element, b: Element) -> Element:
     out: set = set()
     for u in a:
         for v in b:
-            out ^= _normal_form(check_word(tuple(u) + tuple(v)), "leftmost")
+            out ^= _normal_form(check_word(tuple(u) + tuple(v)))
     return frozenset(out)
 
 
@@ -178,8 +171,10 @@ def annihilation_order(j: int, t: int, s_max: int = 16) -> int | None:
         raise DomainError(f"delta index {j} below 2")
     if j <= 2**t:
         raise DomainError(f"annihilation search needs j > 2^t, got j={j}, t={t}")
+    if s_max < 0:
+        raise DomainError(f"annihilation search bound must be >= 0, got {s_max}")
     for s in range(1, s_max + 1):
-        if not _normal_form(theta(s, t) + (j,), "leftmost"):
+        if not _normal_form(theta(s, t) + (j,)):
             return s
     return None
 

@@ -73,6 +73,12 @@ def test_annihilate_exhaustion():
     assert payload == {"s": None, "searched_up_to": 1}
 
 
+def test_sbasis_empty_below_degree_zero():
+    assert run_json(["sbasis", "--hq", '{"2":1}', "--max-degree", "-5"]) == {"by_degree": {}}
+    code, out, _ = run_cli(["sbasis", "--hq", '{"2":1}', "--max-degree", "-5"])
+    assert code == 0 and out == "\n"
+
+
 def test_e1_example():
     payload = run_json(["e1", "--hq", '{"2":1}', "--max-t", "8"])
     expected = [{"s": k, "t": 2 * k, "dim": 1} for k in range(5)]
@@ -93,6 +99,12 @@ def test_exit_codes():
     code, _, err = run_cli(["nilpotency", "--ring", '{"vars":["t"],"relations":["t^3"]}',
                             "--element", '[{"bad": "t"}]'])
     assert code == 3
+    for argv in (["axioms", "--trials", "-3"],
+                 ["annihilate", "--j", "5", "--t", "2", "--max-s", "-1"],
+                 ["probe", "--kind", "gamma2", "--gen", "x3", "--max-iter", "-2"]):
+        code, out, err = run_cli(argv)
+        assert code == 4 and out == "" and err.startswith("deltacalc: "), (argv, err)
+        assert err.count("\n") == 1, (argv, err)
     for hq in ('{"3":1.5}', '{"3":true}', '{"3":"x"}', '{"x":1}'):
         for argv in (["sbasis", "--hq", hq, "--max-degree", "6"],
                      ["e1", "--hq", hq, "--max-t", "6"]):

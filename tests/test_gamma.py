@@ -120,6 +120,12 @@ def test_basis_multiplicity_uses_distinct_indices():
     assert [basis.by_degree[d] for d in range(5)] == [1, 2, 3, 4, 5]
 
 
+def test_basis_empty_below_degree_zero():
+    basis = gamma.s_basis([(2, 1)], -5)
+    assert basis.monomials == [] and not basis.by_degree and basis.by_weight == {}
+    assert [m.degree for m in gamma.s_basis([(2, 1)], 0).monomials] == [0]
+
+
 def test_weight_slices_sum_to_totals():
     for n in range(1, 5):
         basis = gamma.s_basis([(n, 1)], 20)
@@ -283,6 +289,8 @@ def test_axiom_suite_clean():
     report = gamma.gamma_axiom_suite(trials=200, seed=7)
     assert report.ok
     assert all(report.checked[a] == 200 for a in gamma.AXIOM_NAMES)
+    with pytest.raises(DomainError):
+        gamma.gamma_axiom_suite(trials=-3)
 
 
 # --- nilpotency probes ------------------------------------------------------
@@ -315,3 +323,5 @@ def test_probe_domain_boundary():
         gamma.nilpotency_probe("alpha:3", x(4), 3)
     with pytest.raises(DomainError):
         gamma.nilpotency_probe("frobenius", x(4), 3)
+    with pytest.raises(DomainError):
+        gamma.nilpotency_probe("gamma2", x(3), -2)

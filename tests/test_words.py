@@ -1,8 +1,10 @@
-from math import comb
+import functools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from adem_reference import ORDERS, adem_by_direct_sum
+from adem_reference import reduce as reference_reduce
 from deltacalc import words as wd
 from deltacalc.errors import DomainError, RangeError
 
@@ -18,17 +20,6 @@ def admissible_words(draw, max_len=4, max_low=12):
         lo = 2 * word[0] if word else 2
         word.insert(0, draw(st.integers(lo, lo + max_low)))
     return tuple(word)
-
-
-def adem_by_direct_sum(i, j):
-    """Independent route: evaluate the summation with integer binomials."""
-    out = set()
-    lo = -(-(i + 1) // 2)
-    hi = (i + j) // 3
-    for s in range(lo, hi + 1):
-        if comb(j - i + s - 1, j - s) % 2:
-            out ^= {(i + j - s, s)}
-    return frozenset(out)
 
 
 def test_statistics():
@@ -105,7 +96,41 @@ def test_reduce_idempotent(word):
 @given(raw_words)
 @settings(max_examples=300)
 def test_strategy_independence(word):
-    assert wd.reduce([word], "leftmost") == wd.reduce([word], "rightmost")
+    result = wd.reduce([word])
+    for order in ORDERS:
+        assert reference_reduce([word], order) == result, order
+
+
+# The sizes of the benchmark's adem words: length 6 up to index 32, and
+# length 5 up to index 40.
+workload_words = st.one_of(
+    st.lists(st.integers(2, 32), min_size=6, max_size=6).map(tuple),
+    st.lists(st.integers(2, 40), min_size=5, max_size=5).map(tuple),
+)
+
+
+@given(workload_words)
+@settings(max_examples=200, deadline=None)
+def test_reduce_matches_reference_at_workload_sizes(word):
+    result = wd.reduce([word])
+    for order in ORDERS:
+        assert reference_reduce([word], order) == result, order
+
+
+def test_left_mul_memo_is_bounded(monkeypatch):
+    info = wd._left_mul.cache_info()
+    assert info.maxsize == wd._LEFT_MUL_MEMO_SIZE and info.currsize <= info.maxsize
+    # These words reduce to 13 and 12 terms through several hundred memo
+    # entries each; a memo of 8 evicts as it goes and must give the same.
+    small = functools.lru_cache(maxsize=8)(wd._left_mul.__wrapped__)
+    monkeypatch.setattr(wd, "_left_mul", small)
+    for word in [(25, 29, 12, 29, 29, 29), (25, 25, 25, 32, 29, 26)]:
+        result = wd.reduce([word])
+        assert len(result) >= 12
+        for order in ORDERS:
+            assert reference_reduce([word], order) == result, (word, order)
+    info = small.cache_info()
+    assert info.currsize == 8 and info.misses > 8
 
 
 @given(nonempty_words)
@@ -171,6 +196,14 @@ def test_annihilation_precondition():
 
 def test_annihilation_exhaustion_is_explicit():
     assert wd.annihilation_order(7, 2, s_max=1) is None
+    with pytest.raises(DomainError):
+        wd.annihilation_order(7, 2, s_max=-1)
+
+
+def test_annihilation_reduces_length_17_words():
+    # theta(16, 1) delta_j has length 17; the search reaches it in both cases.
+    assert wd.annihilation_order(65537, 1) == 16
+    assert wd.annihilation_order(131073, 1) is None
 
 
 def test_annihilation_existence_desk_scale():
