@@ -29,12 +29,13 @@ def main():
     for g in gens:
         print(f"  {format_generator(g)}  (degree {g.degree}, weight {g.weight})")
 
-    basis = gamma.s_basis([(args.n, 1)], args.max_degree)
-    dims = [basis.by_degree[d] for d in range(args.max_degree + 1)]
+    by_degree, by_weight = gamma.graded_tables(
+        gamma.basis_counts([(args.n, 1)], args.max_degree))
+    dims = [by_degree[d] for d in range(args.max_degree + 1)]
     print(f"dims by degree: {dims}")
 
     if args.by_weight:
-        for w, table in basis.by_weight.items():
+        for w, table in by_weight.items():
             print(f"  weight {w:>3}: " + "  ".join(f"{d}:{k}" for d, k in table.items()))
 
     if args.e1:

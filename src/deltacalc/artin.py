@@ -29,11 +29,18 @@ import random
 from dataclasses import dataclass
 from itertools import product
 import json
+from math import prod
 
 from .errors import DomainError
 from .f2 import binom_mod2
 
 RingElement = frozenset  # frozenset[tuple[int, ...]] of normal-form exponent vectors
+
+# Largest exponent box that normal_monomials lists: about six times the
+# 170,000-monomial boxes of the verify benchmark's m-index commands.  At the
+# limit m_index takes 2-7 s (one to four variables) and about 110 MB peak on
+# one core of a 2-vCPU machine.
+NORMAL_BOX_LIMIT = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -105,12 +112,20 @@ class ArtinRing:
         return frozenset(out)
 
     def normal_monomials(self) -> list[tuple[int, ...]]:
-        """Every nonzero normal-form monomial, in exponent order."""
+        """Every nonzero normal-form monomial, in exponent order.
+
+        The search runs over the box below the pure-power relations; a box
+        of more than NORMAL_BOX_LIMIT exponent vectors raises DomainError.
+        """
         bounds = []
         for k in range(len(self.variables)):
             pure = [r[k] for r in self.relations
                     if r[k] > 0 and all(e == 0 for j, e in enumerate(r) if j != k)]
             bounds.append(min(pure))
+        box = prod(bounds)
+        if box > NORMAL_BOX_LIMIT:
+            raise DomainError(f"the ring's exponent box has {box} monomials; "
+                              f"the budget is {NORMAL_BOX_LIMIT}")
         return [m for m in product(*(range(b) for b in bounds)) if self.is_normal(m)]
 
     def parse(self, text: str) -> RingElement:

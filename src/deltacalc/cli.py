@@ -19,13 +19,18 @@ EXIT_SYNTAX = 3
 EXIT_DOMAIN = 4
 EXIT_RANGE = 5
 
-_EPILOG = """\
+_EPILOG = f"""\
 exit codes:
   0  success
+  1  internal error (a fault in deltacalc, not in the input)
   2  unknown subcommand or bad usage
   3  expression or JSON syntax error
-  4  domain/precondition violation
+  4  domain/precondition violation, or a request over its size budget
   5  integer range overflow (indices must stay below 2^32)
+
+size budgets (exit 4 above them):
+  sbasis, e1           gamma factors x table cells <= {gamma.COUNT_WORK_LIMIT:,}
+  m-index, nilpotency  exponent box of the ring <= {artin.NORMAL_BOX_LIMIT:,} monomials
 
 JSON outputs follow the schemas shipped in docs/.
 """
@@ -61,15 +66,41 @@ def _graded_dims(value: str) -> GradedDims:
     return GradedDims.from_json(table)
 
 
+_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")  # vars pattern in docs/ring.schema.json
+
+
+def _strings(items) -> bool:
+    return isinstance(items, list) and all(isinstance(it, str) for it in items)
+
+
 def _ring(value: str) -> artin.ArtinRing:
-    return artin.ArtinRing.from_json(_load_json_arg(value, "ring"))
+    ring = _load_json_arg(value, "ring")
+    # docs/ring.schema.json; duplicate names stay a domain error of ArtinRing
+    if not (isinstance(ring, dict) and set(ring) == {"vars", "relations"}
+            and _strings(ring["vars"]) and all(_NAME.fullmatch(v) for v in ring["vars"])
+            and _strings(ring["relations"])):
+        raise exprs.ParseError(
+            'a ring is {"vars": [variable names], "relations": [monomials]}', value, 0)
+    return artin.ArtinRing.from_json(ring)
+
+
+def _mixed_element(ring: artin.ArtinRing, value: str) -> artin.MixedElement:
+    terms = _load_json_arg(value, "mixed element")
+    # docs/mixed-element.schema.json
+    if not (isinstance(terms, list) and all(
+            isinstance(t, dict) and set(t) == {"coef", "gen"}
+            and isinstance(t["coef"], str) and isinstance(t["gen"], str) for t in terms)):
+        raise exprs.ParseError(
+            'a mixed element is a list of {"coef": ring element, "gen": name}', value, 0)
+    return artin.MixedElement.from_json(ring, terms)
 
 
 def _axiom_report_json(report: artin.AxiomReport) -> dict:
     return {"checked": report.checked, "failures": report.failures, "ok": report.ok}
 
 
-# --- command handlers: each returns (payload, text) ---
+# --- command handlers: each returns (payload, text); text may be a function
+# that renders it, so JSON output skips a table only text output prints ---
 
 
 def _cmd_reduce(args):
@@ -136,12 +167,13 @@ def _cmd_sgens(args):
 
 
 def _cmd_sbasis(args):
-    basis = gamma.s_basis(_graded_dims(args.hq).items(), args.max_degree)
-    payload = {"by_degree": basis.by_degree.to_json()}
-    lines = [f"{deg}: {dim}" for deg, dim in basis.by_degree.items()]
+    counts = gamma.basis_counts(_graded_dims(args.hq).items(), args.max_degree)
+    by_degree, by_weight = gamma.graded_tables(counts)
+    payload = {"by_degree": by_degree.to_json()}
+    lines = [f"{deg}: {dim}" for deg, dim in by_degree.items()]
     if args.by_weight:
-        payload["by_weight"] = {str(w): t.to_json() for w, t in basis.by_weight.items()}
-        for w, t in basis.by_weight.items():
+        payload["by_weight"] = {str(w): t.to_json() for w, t in by_weight.items()}
+        for w, t in by_weight.items():
             lines.append(f"weight {w}: " + "  ".join(f"{d}:{k}" for d, k in t.items()))
     return payload, "\n".join(lines)
 
@@ -173,7 +205,7 @@ def _cmd_probe(args):
 
 def _cmd_e1(args):
     table = e1.e1_page(_graded_dims(args.hq), args.max_t)
-    return table.to_json(), table.render_text()
+    return table.to_json(), table.render_text
 
 
 def _cmd_ring_mul(args):
@@ -190,7 +222,7 @@ def _cmd_m_index(args):
 
 def _cmd_nilpotency(args):
     ring = _ring(args.ring)
-    element = artin.MixedElement.from_json(ring, _load_json_arg(args.element, "mixed element"))
+    element = _mixed_element(ring, args.element)
     index = artin.gamma2_nilpotency_index(element)
     mi = artin.m_index(ring)
     bound = (mi - 1).bit_length()
@@ -345,6 +377,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         payload, text = args.handler(args)
+        if args.format == "text" and callable(text):
+            text = text()
     except exprs.ParseError as err:
         print(f"deltacalc: {err}", file=sys.stderr)
         return EXIT_SYNTAX
@@ -354,12 +388,12 @@ def main(argv=None) -> int:
     except DomainError as err:
         print(f"deltacalc: {err}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (KeyError, TypeError) as err:
-        print(f"deltacalc: malformed input: {err}", file=sys.stderr)
-        return EXIT_SYNTAX
     except ValueError as err:
         print(f"deltacalc: {err}", file=sys.stderr)
         return EXIT_DOMAIN
+    except Exception as err:  # inputs are checked above, so this is a fault in deltacalc
+        print(f"deltacalc: internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return EXIT_INTERNAL
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
     else:

@@ -3,7 +3,8 @@
 For connected input the (s, t) entry is the dimension of the weight-s
 slice, in total degree t, of the free divided power algebra on generators
 matching the given homology dimensions; everything above the diagonal
-(s > t) vanishes.
+(s > t) vanishes.  The entries are counted by ``gamma.basis_counts``, not
+read off a list of basis monomials.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .f2 import GradedDims
-from .gamma import s_basis
+from .gamma import basis_counts
+from .gamma import s_basis  # noqa: F401  unused here; perfbench/traced_child.py wraps e1.s_basis
 
 
 @dataclass
@@ -54,11 +56,7 @@ def e1_page(hq: GradedDims, max_t: int) -> E1Table:
     """Tabulate the first page from homology dimensions concentrated in degrees >= 1."""
     if hq[0] != 0:
         raise DomainError("input must be connected: degree 0 must vanish")
-    basis = s_basis(hq.items(), max_t)
-    entries: dict = {}
-    for m in basis.monomials:
-        key = (m.weight, m.degree)
-        entries[key] = entries.get(key, 0) + 1
+    entries = basis_counts(hq.items(), max_t)
     aq_dim = hq.max_degree
     conn = hq.min_degree - 1 if hq.min_degree is not None else None
     return E1Table(hq, max_t, entries, aq_dim, conn)

@@ -7,10 +7,13 @@ each polynomial generator ``x_n`` of W and each admissible word I with
 ``2^length(I)``.  In characteristic 2 every divided power is generated by
 the divided square, so a basis monomial is a product of factors
 ``gamma_{2^e}(g)`` over *distinct* pairs (g, e): a repeated factor squares
-to zero.  Elements are frozensets of monomials with GF(2) coefficients by
-membership.  Products, divided powers and the axiom suite run in
-``artin``'s divided power algebra over a ring, with GF(2) as the ring
-``artin.F2`` that has no variables.
+to zero.  Dimension tables are therefore counted by a 0/1 knapsack over
+the factors (``basis_counts``); ``s_basis`` lists the monomials themselves
+for callers that need them, and is the counting's test oracle.  Elements
+are frozensets of monomials with GF(2) coefficients by membership.
+Products, divided powers and the axiom suite run in ``artin``'s divided
+power algebra over a ring, with GF(2) as the ring ``artin.F2`` that has
+no variables.
 
 The action of delta_i is computed through the word calculus: a factor
 ``gamma_{2^e}(delta_I x_n)`` is the admissible word made of e doubling
@@ -239,6 +242,24 @@ def q_project(elem: Element) -> Element:
     return frozenset(kept)
 
 
+def _generator_words(n: int, max_degree: int):
+    """Yield every admissible word I with e(I) < n and n + d(I) <= max_degree.
+
+    Yields lazily, so a caller can stop once it has seen enough.
+    """
+    budget = max_degree - n
+
+    def extend(word: wd.Word, total: int):
+        yield word
+        lo = 2 * word[0] if word else 2
+        # prepending i gives excess i - total, so i < total + n keeps it below n
+        for i in range(lo, min(total + n - 1, budget - total) + 1):
+            yield from extend((i,) + word, total + i)
+
+    if budget >= 0:
+        yield from extend((), 0)
+
+
 def s_generators(n: int, max_degree: int) -> list[FreeGenerator]:
     """All generators delta_I(x_n) with e(I) < n and degree <= max_degree.
 
@@ -246,23 +267,7 @@ def s_generators(n: int, max_degree: int) -> list[FreeGenerator]:
     """
     if n < 1:
         raise DomainError(f"generator degree must be >= 1, got {n}")
-    found: list[wd.Word] = []
-    budget = max_degree - n
-
-    def extend(word: wd.Word, total: int):
-        lo = 2 * word[0] if word else 2
-        for i in range(lo, budget - total + 1):
-            w2 = (i,) + word
-            # extensions never lower excess, so stop the branch at e >= n
-            if wd.excess(w2) >= n:
-                continue
-            found.append(w2)
-            extend(w2, total + i)
-
-    if budget >= 0:
-        found.append(())
-        extend((), 0)
-    gens = [FreeGenerator(n, 1, w) for w in found]
+    gens = [FreeGenerator(n, 1, w) for w in _generator_words(n, max_degree)]
     gens.sort(key=lambda g: g.sort_key)
     return gens
 
@@ -276,6 +281,25 @@ class SBasis:
     by_weight: dict[int, GradedDims]
 
 
+def _factors(gens, max_degree: int):
+    """Yield (n, word, e, mult) for each factor gamma_{2^e}(delta_word x_n) of degree <= max_degree.
+
+    ``gens`` lists pairs (degree n, multiplicity mult); every yielded factor
+    stands for mult copies, one per multiplicity index.  All degrees are
+    checked before the first factor is yielded.
+    """
+    gens = list(gens)
+    for n, _ in gens:
+        if n < 1:
+            raise DomainError(f"generator degrees must be >= 1, got {n}")
+    for n, mult in gens:
+        for word in _generator_words(n, max_degree):
+            e = 0
+            while (n + sum(word)) << e <= max_degree:
+                yield n, word, e, mult
+                e += 1
+
+
 def s_basis(gens, max_degree: int) -> SBasis:
     """Enumerate all basis monomials of degree <= max_degree.
 
@@ -283,17 +307,11 @@ def s_basis(gens, max_degree: int) -> SBasis:
     entry of multiplicity d contributes generators labelled x_{n:1}..x_{n:d}.
     The weight-m slice of the result realizes the weight-m summand.
     """
-    factor_pool: list[tuple[FreeGenerator, int]] = []
-    for n, mult in gens:
-        if n < 1:
-            raise DomainError(f"generator degrees must be >= 1, got {n}")
-        for idx in range(1, int(mult) + 1):
-            for g0 in s_generators(n, max_degree):
-                g = FreeGenerator(n, idx, g0.word)
-                e = 0
-                while (1 << e) * g.degree <= max_degree:
-                    factor_pool.append((g, e))
-                    e += 1
+    factor_pool = [
+        (FreeGenerator(n, idx, word), e)
+        for n, word, e, mult in _factors(gens, max_degree)
+        for idx in range(1, int(mult) + 1)
+    ]
     factor_pool.sort(key=lambda fe: ((1 << fe[1]) * fe[0].degree, fe[0].sort_key, fe[1]))
 
     monomials: list[SMonomial] = []
@@ -311,17 +329,68 @@ def s_basis(gens, max_degree: int) -> SBasis:
         grow(0, (), 0)
     monomials.sort(key=lambda m: m.sort_key)
 
+    counts: dict[tuple[int, int], int] = {}
+    for m in monomials:
+        counts[m.weight, m.degree] = counts.get((m.weight, m.degree), 0) + 1
+    return SBasis(monomials, *graded_tables(counts))
+
+
+def graded_tables(counts) -> tuple[GradedDims, dict[int, GradedDims]]:
+    """Split a table keyed (weight, degree) into by-degree totals and weight slices."""
     by_degree: dict[int, int] = {}
     by_weight: dict[int, dict[int, int]] = {}
-    for m in monomials:
-        by_degree[m.degree] = by_degree.get(m.degree, 0) + 1
-        slice_ = by_weight.setdefault(m.weight, {})
-        slice_[m.degree] = slice_.get(m.degree, 0) + 1
-    return SBasis(
-        monomials,
-        GradedDims(by_degree),
-        {w: GradedDims(t) for w, t in sorted(by_weight.items())},
-    )
+    for (w, d), c in counts.items():
+        by_degree[d] = by_degree.get(d, 0) + c
+        slice_ = by_weight.setdefault(w, {})
+        slice_[d] = slice_.get(d, 0) + c
+    return GradedDims(by_degree), {w: GradedDims(t) for w, t in sorted(by_weight.items())}
+
+
+# Work budget of basis_counts: factors in the pool times (weight, degree)
+# cells of the table, whose degrees stop at the cut or at the sum of all
+# factor degrees, whichever is lower.  The largest accepted requests take
+# about 4 s on one core of a 2-vCPU machine, e.g. {"1":2,"2":2,"3":2,"4":2}
+# through degree 519.
+COUNT_WORK_LIMIT = 50_000_000
+
+
+def basis_counts(gens, max_degree: int) -> dict[tuple[int, int], int]:
+    """Basis dimensions keyed (weight, degree), counted without listing monomials.
+
+    ``gens`` is as for ``s_basis``, whose tally this equals.  A monomial uses
+    each factor gamma_{2^e}(g) at most once, so the table is the coefficient
+    table of prod (1 + w^weight q^degree) over the factor pool, folded in one
+    factor at a time as a 0/1 knapsack over degree.  A request whose pool
+    size times table cells exceeds COUNT_WORK_LIMIT raises DomainError before
+    the knapsack runs.
+    """
+    pool: list[tuple[int, int, int]] = []  # (weight, degree, copies)
+    size = reach = top = 0  # factors, sum of their degrees, highest degree in the table
+    for n, word, e, mult in _factors(gens, max_degree):
+        weight, degree = (1 << len(word)) << e, (n + sum(word)) << e
+        pool.append((weight, degree, mult))
+        size += mult
+        reach += degree * mult
+        top = min(max_degree, reach)
+        cells = (top + 1) * (top + 2) // 2  # weight <= degree
+        if size * cells > COUNT_WORK_LIMIT:
+            raise DomainError(
+                f"counting the basis through degree {max_degree} needs at least {size} "
+                f"gamma factors on {cells} table cells; the budget is "
+                f"{COUNT_WORK_LIMIT} factor-cells")
+    if max_degree < 0:
+        return {}
+
+    rows: list[dict[int, int]] = [{} for _ in range(top + 1)]  # degree -> weight -> count
+    rows[0][0] = 1
+    for fw, fd, copies in pool:
+        for _ in range(copies):
+            # descending degree, so each copy enters a monomial at most once
+            for d in range(top - fd, -1, -1):
+                dst = rows[d + fd]
+                for w, c in rows[d].items():
+                    dst[w + fw] = dst.get(w + fw, 0) + c
+    return {(w, d): c for d, row in enumerate(rows) for w, c in row.items()}
 
 
 @dataclass

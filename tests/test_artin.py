@@ -24,6 +24,16 @@ def test_ring_validation():
         artin.ArtinRing(("t", "t"), ((2, 0), (0, 2)))
 
 
+def test_exponent_box_budget():
+    huge = artin.ArtinRing(("t",), ((10**8,),))
+    wide = artin.ArtinRing(("u", "v"), ((1001, 0), (0, 1000)))
+    for ring in (huge, wide):
+        with pytest.raises(DomainError, match="budget"):
+            ring.normal_monomials()
+        with pytest.raises(DomainError, match="budget"):
+            artin.m_index(ring)
+
+
 def test_ring_json_round_trip():
     ring = artin.ArtinRing.from_json('{"vars": ["u", "v"], "relations": ["u^2", "v^3"]}')
     assert ring.variables == ("u", "v")

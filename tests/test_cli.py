@@ -1,11 +1,13 @@
 import io
 import json
+from math import comb
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
@@ -79,6 +81,23 @@ def test_sbasis_empty_below_degree_zero():
     assert code == 0 and out == "\n"
 
 
+def test_huge_cut_with_nothing_below_it():
+    # the table stops at the highest degree the factors reach, not at the cut
+    for hq in ('{}', '{"2000000000":1}'):
+        code, out, err = run_cli(["sbasis", "--hq", hq, "--max-degree", "1000000000"])
+        assert (code, out, err) == (0, "0: 1\n", ""), hq
+        payload = run_json(["e1", "--hq", hq, "--max-t", "1000000000"])
+        assert payload["entries"] == [{"s": 0, "t": 0, "dim": 1}], hq
+
+
+def test_sbasis_counts_past_enumeration_sizes():
+    # 635,376 monomials, which listing them one by one did not finish in 20 s.
+    # Four degree-1 classes give C(d+3, 3) monomials in degree d.
+    payload = run_json(["sbasis", "--hq", '{"1":4}', "--max-degree", "60"])
+    assert payload["by_degree"] == {str(d): comb(d + 3, 3) for d in range(61)}
+    assert sum(payload["by_degree"].values()) == 635_376
+
+
 def test_e1_example():
     payload = run_json(["e1", "--hq", '{"2":1}', "--max-t", "8"])
     expected = [{"s": k, "t": 2 * k, "dim": 1} for k in range(5)]
@@ -105,6 +124,25 @@ def test_exit_codes():
         code, out, err = run_cli(argv)
         assert code == 4 and out == "" and err.startswith("deltacalc: "), (argv, err)
         assert err.count("\n") == 1, (argv, err)
+    huge = '{"vars":["t"],"relations":["t^100000000"]}'
+    for argv, want in (
+            (["sbasis", "--hq", '{"0":1}', "--max-degree", "6"], "degrees must be >= 1"),
+            (["e1", "--hq", '{"0":1}', "--max-t", "6"], "connected"),
+            (["sbasis", "--hq", '{"2":1000000000}', "--max-degree", "6"], "budget"),
+            (["e1", "--hq", '{"2":1000000000}', "--max-t", "6"], "budget"),
+            (["m-index", "--ring", huge], "budget"),
+            (["nilpotency", "--ring", huge, "--element", '[{"coef":"t","gen":"x"}]'], "budget")):
+        code, out, err = run_cli(argv)
+        assert code == 4 and out == "" and err.startswith("deltacalc: "), (argv, err)
+        assert err.count("\n") == 1 and want in err, (argv, err)
+    for argv in (["m-index", "--ring", '["t"]'],
+                 ["m-index", "--ring", '{"vars":["t"],"relations":["t^3"],"x":1}'],
+                 ["m-index", "--ring", '{"vars":[3],"relations":["t^3"]}'],
+                 ["nilpotency", "--ring", _T3, "--element", '["x"]'],
+                 ["nilpotency", "--ring", _T3, "--element", '[{"coef":1,"gen":"x"}]']):
+        code, out, err = run_cli(argv)
+        assert code == 3 and out == "" and err.startswith("deltacalc: "), (argv, err)
+        assert err.count("\n") == 1 and "indices" not in err, (argv, err)
     for hq in ('{"3":1.5}', '{"3":true}', '{"3":"x"}', '{"x":1}'):
         for argv in (["sbasis", "--hq", hq, "--max-degree", "6"],
                      ["e1", "--hq", hq, "--max-t", "6"]):
@@ -196,3 +234,38 @@ def test_axioms_output_independent_of_thread_setting(monkeypatch):
     (code, text, _), (_, payload, _) = outputs[0]
     assert code == 0 and text.endswith("all axioms pass\n")
     assert json.loads(payload)["ok"] is True
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=4),
+    max_leaves=8)
+_ring_json = st.one_of(_json, st.fixed_dictionaries(
+    {"vars": st.lists(st.sampled_from(["t", "u", "1t", ""]) | _json, max_size=3),
+     "relations": st.lists(st.sampled_from(["t^3", "u^2", "t*u", "t^0", "1", "0"]) | _json,
+                           max_size=3)},
+    optional={"x": _json}))
+_element_json = st.one_of(_json, st.lists(st.fixed_dictionaries(
+    {"coef": st.sampled_from(["t", "t^2 + t", "1", "0", "u", "t +"]) | _json,
+     "gen": st.sampled_from(["x1", ""]) | _json},
+    optional={"x": _json}), max_size=3))
+_hq_json = st.one_of(_json, st.dictionaries(
+    st.sampled_from(["0", "1", "2", "3", "01", "-1", "x"]) | st.text(max_size=3),
+    st.integers(-3, 10**12) | _json, max_size=3))
+_T3 = '{"vars":["t"],"relations":["t^3"]}'
+
+
+# "--opt=value" keeps argparse from reading a value that starts with "-" as an option
+@given(st.one_of(
+    _ring_json.map(lambda v: ["m-index", f"--ring={json.dumps(v)}"]),
+    _ring_json.map(lambda v: ["nilpotency", f"--ring={json.dumps(v)}",
+                              "--element", '[{"coef":"t","gen":"x"}]']),
+    _element_json.map(lambda v: ["nilpotency", "--ring", _T3, f"--element={json.dumps(v)}"]),
+    _hq_json.map(lambda v: ["sbasis", f"--hq={json.dumps(v)}", "--max-degree", "10"]),
+    _hq_json.map(lambda v: ["e1", f"--hq={json.dumps(v)}", "--max-t", "10"])))
+@settings(max_examples=300, deadline=None)
+def test_json_arguments_fail_cleanly(argv):
+    code, _, err = run_cli(argv)
+    assert code in (0, 3, 4, 5), (argv, code, err)
+    assert "Traceback" not in err and err.count("\n") <= 1, (argv, err)

@@ -1,9 +1,10 @@
 import json
+from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from deltacalc import gamma
 from deltacalc import words as wd
@@ -124,6 +125,28 @@ def test_basis_empty_below_degree_zero():
     basis = gamma.s_basis([(2, 1)], -5)
     assert basis.monomials == [] and not basis.by_degree and basis.by_weight == {}
     assert [m.degree for m in gamma.s_basis([(2, 1)], 0).monomials] == [0]
+
+
+@given(st.dictionaries(st.integers(1, 5), st.integers(1, 3), max_size=5), st.integers(-3, 18))
+@settings(max_examples=150, deadline=None)
+def test_basis_counts_match_enumeration(dims, cut):
+    gens = sorted(dims.items())
+    counts = gamma.basis_counts(gens, cut)
+    assume(sum(counts.values()) <= 3000)  # keeps the enumeration oracle at desk scale
+    assert counts == Counter((m.weight, m.degree) for m in gamma.s_basis(gens, cut).monomials)
+
+
+def test_basis_counts_refuse_over_budget():
+    # each is refused before the knapsack runs; (50, 1) through degree 1000
+    # alone has 43 million generators
+    for gens, cut in (([(2, 10**9)], 6), ([(3, 1)], 10**7), ([(50, 1)], 1000)):
+        with pytest.raises(DomainError, match="budget"):
+            gamma.basis_counts(gens, cut)
+    with pytest.raises(DomainError, match="generator degrees"):
+        gamma.basis_counts([(0, 1)], 6)
+    # nothing to fold: no table is allocated for the cut
+    assert gamma.basis_counts([], 10**12) == {(0, 0): 1}
+    assert gamma.basis_counts([(10**12 + 1, 1)], 10**12) == {(0, 0): 1}
 
 
 def test_weight_slices_sum_to_totals():
