@@ -32,14 +32,15 @@ import json
 from math import prod
 
 from .errors import DomainError
-from .f2 import binom_mod2
+from .f2 import binom_mod2, check_index
 
 RingElement = frozenset  # frozenset[tuple[int, ...]] of normal-form exponent vectors
 
-# Largest exponent box that normal_monomials lists: about six times the
-# 170,000-monomial boxes of the verify benchmark's m-index commands.  At the
-# limit m_index takes 2-7 s (one to four variables) and about 110 MB peak on
-# one core of a 2-vCPU machine.
+# Largest set of exponent vectors that is searched: the box below the pure
+# powers that normal_monomials lists, and the grid of corner candidates that
+# m_index tests.  On one core of a 2-vCPU machine, listing a box of this size
+# takes 2-7 s (one to four variables) and about 110 MB peak; testing a grid
+# of 7^7 corners against 13 relations takes about 10 s.
 NORMAL_BOX_LIMIT = 1_000_000
 
 
@@ -57,6 +58,8 @@ class ArtinRing:
         for r in self.relations:
             if len(r) != nvars or any(e < 0 for e in r):
                 raise DomainError(f"bad relation exponent vector {r}")
+            for e in r:
+                check_index(e, "relation exponent")
             if not any(r):
                 raise DomainError("the unit monomial cannot be a relation")
         for k, v in enumerate(self.variables):
@@ -111,17 +114,19 @@ class ArtinRing:
                 out ^= {m}
         return frozenset(out)
 
+    def pure_powers(self) -> list[int]:
+        """The lowest pure power of each variable that is a relation."""
+        return [min(r[k] for r in self.relations
+                    if r[k] > 0 and all(e == 0 for j, e in enumerate(r) if j != k))
+                for k in range(len(self.variables))]
+
     def normal_monomials(self) -> list[tuple[int, ...]]:
-        """Every nonzero normal-form monomial, in exponent order.
+        """Every normal-form monomial, the unit included, in exponent order.
 
         The search runs over the box below the pure-power relations; a box
         of more than NORMAL_BOX_LIMIT exponent vectors raises DomainError.
         """
-        bounds = []
-        for k in range(len(self.variables)):
-            pure = [r[k] for r in self.relations
-                    if r[k] > 0 and all(e == 0 for j, e in enumerate(r) if j != k)]
-            bounds.append(min(pure))
+        bounds = self.pure_powers()
         box = prod(bounds)
         if box > NORMAL_BOX_LIMIT:
             raise DomainError(f"the ring's exponent box has {box} monomials; "
@@ -159,9 +164,24 @@ def ring_power(ring: ArtinRing, a: RingElement, k: int) -> RingElement:
 
 
 def m_index(ring: ArtinRing) -> int:
-    """Minimal s with every product of s variables reducing to zero."""
-    top = max((sum(m) for m in ring.normal_monomials()), default=0)
-    return top + 1
+    """Minimal s with every product of s variables reducing to zero.
+
+    That is one more than the highest total degree of a normal monomial,
+    found among the corners of the staircase instead of the whole box.
+    The highest degree is reached at a maximal normal monomial m, one with
+    m + e_i in the ideal for every variable i.  Some relation r divides
+    m + e_i and not m, so r_i = m_i + 1: every coordinate of m is r_i - 1
+    for a relation r with r_i > 0, and it lies below the pure power of its
+    variable.  The grid of those candidates is searched with is_normal; a
+    grid of more than NORMAL_BOX_LIMIT vectors raises DomainError.
+    """
+    corners = [{r[k] - 1 for r in ring.relations if 0 < r[k] <= bound}
+               for k, bound in enumerate(ring.pure_powers())]
+    grid = prod(len(c) for c in corners)
+    if grid > NORMAL_BOX_LIMIT:
+        raise DomainError(f"the ring's staircase has {grid} corner candidates; "
+                          f"the budget is {NORMAL_BOX_LIMIT}")
+    return max(sum(m) for m in product(*corners) if ring.is_normal(m)) + 1
 
 
 def in_maximal_ideal(ring: ArtinRing, elem: RingElement) -> bool:

@@ -30,7 +30,8 @@ exit codes:
 
 size budgets (exit 4 above them):
   sbasis, e1           gamma factors x table cells <= {gamma.COUNT_WORK_LIMIT:,}
-  m-index, nilpotency  exponent box of the ring <= {artin.NORMAL_BOX_LIMIT:,} monomials
+  sgens                generators listed <= {gamma.GENERATOR_LIMIT:,}
+  m-index, nilpotency  corner candidates of the ring's staircase <= {artin.NORMAL_BOX_LIMIT:,}
 
 JSON outputs follow the schemas shipped in docs/.
 """
@@ -49,6 +50,9 @@ def _load_json_arg(value: str, what: str):
         return json.loads(text)
     except json.JSONDecodeError as err:
         raise exprs.ParseError(f"invalid {what} JSON: {err.msg}", text, err.pos) from err
+    except ValueError:  # an integer literal too long to convert
+        raise exprs.ParseError(f"invalid {what} JSON: a number has too many digits to read",
+                               text, 0) from None
 
 
 _DEGREE_KEY = re.compile(r"0|[1-9][0-9]*")  # propertyNames in docs/graded-dims.schema.json
@@ -63,6 +67,7 @@ def _graded_dims(value: str) -> GradedDims:
                 raise exprs.ParseError(
                     "a dimension table maps decimal degrees to integers, not "
                     f"{json.dumps(deg)}: {json.dumps(dim)}", value, 0)
+            exprs.parse_int(deg, "degree", value, 0)
     return GradedDims.from_json(table)
 
 

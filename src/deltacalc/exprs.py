@@ -25,7 +25,7 @@ import re
 
 from . import gamma
 from . import words as wd
-from .errors import DomainError
+from .errors import DomainError, RangeError
 
 
 class ParseError(ValueError):
@@ -100,8 +100,21 @@ _RING_SPEC = [
 ]
 
 
+def parse_int(digits: str, what: str, text: str, pos: int) -> int:
+    """A decimal token; one too long to convert is a syntax error that names it."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"{what} {digits[:12]}... has {len(digits)} digits, too many to read",
+                         text, pos) from None
+
+
 def _delta_index(tok, text: str) -> int:
-    i = int(tok[1][1:])
+    digits = tok[1][1:].lstrip("0") or "0"
+    if len(digits) > 10:  # at least 10^10 > 2^32; named without converting it
+        raise RangeError(f"delta index {digits[:12]}{'...' if len(digits) > 12 else ''} "
+                         f"of {len(digits)} digits exceeds 2^32")
+    i = int(digits)
     if i < 2:
         raise ParseError(f"delta index {i} below 2", text, tok[2])
     return i
@@ -159,12 +172,9 @@ def _parse_atom(toks: _Tokens, text: str) -> tuple[wd.Word, int, int]:
     while toks.peek() and toks.peek()[0] == "DELTA":
         word.append(_delta_index(toks.next(), text))
     tok = toks.next("GEN", ("x<int>",))
-    body = tok[1][1:]
-    if ":" in body:
-        n, idx = body.split(":")
-        n, idx = int(n), int(idx)
-    else:
-        n, idx = int(body), 1
+    n, _, idx = tok[1][1:].partition(":")
+    n = parse_int(n, "generator degree", text, tok[2])
+    idx = parse_int(idx or "1", "generator index", text, tok[2])
     if n < 1:
         raise ParseError(f"generator degree {n} below 1", text, tok[2])
     if idx < 1:
@@ -202,7 +212,7 @@ def parse_s_element(text: str) -> gamma.Element:
             raise ParseError("expected a factor", text, len(text), ("g<int>(", "x<int>", "d<int>"))
         if tok[0] == "GAMMA":
             toks.next()
-            k = int(tok[1][1:])
+            k = parse_int(tok[1][1:], "divided power", text, tok[2])
             toks.next("LPAREN", ("(",))
             word, n, idx = _parse_atom(toks, text)
             toks.next("RPAREN", (")",))
@@ -252,7 +262,7 @@ def parse_ring_element(text: str, variables: tuple[str, ...]) -> list[tuple[int,
         if toks.peek() and toks.peek()[0] == "CARET":
             toks.next()
             etok = toks.next("INT", ("<int>",))
-            exp = int(etok[1])
+            exp = parse_int(etok[1], "exponent", text, etok[2])
             if exp < 1:
                 raise ParseError("exponents must be >= 1", text, etok[2])
         return k, exp

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from deltacalc import artin, gamma
-from deltacalc.errors import DomainError
+from deltacalc.errors import DomainError, RangeError
 
 T3 = artin.ArtinRing(("t",), ((3,),))
 T4 = artin.ArtinRing(("t",), ((4,),))
@@ -25,13 +25,54 @@ def test_ring_validation():
 
 
 def test_exponent_box_budget():
+    # the box stays refused for listing; m_index searches only the corners
     huge = artin.ArtinRing(("t",), ((10**8,),))
     wide = artin.ArtinRing(("u", "v"), ((1001, 0), (0, 1000)))
     for ring in (huge, wide):
         with pytest.raises(DomainError, match="budget"):
             ring.normal_monomials()
-        with pytest.raises(DomainError, match="budget"):
-            artin.m_index(ring)
+    assert artin.m_index(huge) == 10**8
+    assert artin.m_index(wide) == 2000
+    six = artin.ArtinRing(tuple("abcdef"), tuple(
+        tuple(40 if j == k else 0 for j in range(6)) for k in range(6)))
+    assert artin.m_index(six) == 6 * 39 + 1
+
+
+# 7 variables, relations (k,)*7 for k = 2..8 and pure powers 9: 8^7 corners
+OVER_GRID = artin.ArtinRing(tuple("abcdefg"), tuple(
+    [(k,) * 7 for k in range(2, 9)] + [tuple(9 if j == k else 0 for j in range(7))
+                                       for k in range(7)]))
+
+
+def test_corner_grid_budget(monkeypatch):
+    def searched(*corners):
+        raise AssertionError("the grid was searched before it was refused")
+
+    monkeypatch.setattr(artin, "product", searched)
+    with pytest.raises(DomainError, match="2097152 corner candidates.*budget"):
+        artin.m_index(OVER_GRID)
+
+
+def test_relation_exponents_stay_below_2_32():
+    assert artin.m_index(artin.ArtinRing(("t",), ((2**32 - 1,),))) == 2**32 - 1
+    with pytest.raises(RangeError):
+        artin.ArtinRing(("t",), ((2**32,),))
+
+
+@st.composite
+def small_rings(draw):
+    nvars = draw(st.integers(1, 4))
+    pure = [tuple(draw(st.integers(1, 8)) if j == k else 0 for j in range(nvars))
+            for k in range(nvars)]
+    mixed = draw(st.lists(st.tuples(*[st.integers(0, 9)] * nvars).filter(any), max_size=5))
+    return artin.ArtinRing(tuple("abcd"[:nvars]), tuple(pure + mixed))
+
+
+@given(small_rings())
+@settings(max_examples=400, deadline=None)
+def test_m_index_matches_box_enumeration(ring):
+    # oracle: list every normal monomial of the box and take the top degree
+    assert artin.m_index(ring) == max(sum(m) for m in ring.normal_monomials()) + 1
 
 
 def test_ring_json_round_trip():

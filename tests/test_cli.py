@@ -104,7 +104,7 @@ def test_e1_example():
     assert sorted(payload["entries"], key=lambda e: e["t"]) == expected
 
 
-def test_exit_codes():
+def test_exit_codes(monkeypatch):
     code, _, err = run_cli(["reduce", "d1 d4"])
     assert code == 3 and "delta index 1" in err
     code, _, err = run_cli(["annihilate", "--j", "4", "--t", "2"])
@@ -124,17 +124,47 @@ def test_exit_codes():
         code, out, err = run_cli(argv)
         assert code == 4 and out == "" and err.startswith("deltacalc: "), (argv, err)
         assert err.count("\n") == 1, (argv, err)
+    # the box below t^100000000 is too large to list, but m_index needs only its corner
     huge = '{"vars":["t"],"relations":["t^100000000"]}'
+    assert run_json(["m-index", "--ring", huge]) == {"m_index": 10**8}
+    payload = run_json(["nilpotency", "--ring", huge, "--element", '[{"coef":"t","gen":"x"}]'])
+    assert (payload["m_index"], payload["index"], payload["index_bound"]) == (10**8, 27, 27)
+    # 7 variables, relations (k,)*7 for k = 2..8 and pure powers 9: 8^7 corner candidates,
+    # refused before any is tested (a tested one would be exit 1 here)
+    over_grid = json.dumps({"vars": list("abcdefg"), "relations": [
+        "*".join(f"{v}^{k}" for v in "abcdefg") for k in range(2, 9)] + [
+        f"{v}^9" for v in "abcdefg"]})
+
+    def searched(*corners):
+        raise AssertionError("the corner grid was searched")
+
+    monkeypatch.setattr(cli.artin, "product", searched)
     for argv, want in (
             (["sbasis", "--hq", '{"0":1}', "--max-degree", "6"], "degrees must be >= 1"),
             (["e1", "--hq", '{"0":1}', "--max-t", "6"], "connected"),
             (["sbasis", "--hq", '{"2":1000000000}', "--max-degree", "6"], "budget"),
             (["e1", "--hq", '{"2":1000000000}', "--max-t", "6"], "budget"),
-            (["m-index", "--ring", huge], "budget"),
-            (["nilpotency", "--ring", huge, "--element", '[{"coef":"t","gen":"x"}]'], "budget")):
+            (["sgens", "--n", "50", "--max-degree", "1000"], "budget"),
+            (["m-index", "--ring", over_grid], "budget"),
+            (["nilpotency", "--ring", over_grid, "--element", '[{"coef":"a","gen":"x"}]'],
+             "budget")):
         code, out, err = run_cli(argv)
         assert code == 4 and out == "" and err.startswith("deltacalc: "), (argv, err)
         assert err.count("\n") == 1 and want in err, (argv, err)
+    monkeypatch.undo()
+    # integers too long to convert name the input, not the interpreter's digit limit
+    long = "9" * 5000
+    for argv, want_code in (
+            (["reduce", f"d{long}"], 5),
+            (["reduce", f"d4 d{long} d2"], 5),
+            (["sbasis", "--hq", f'{{"3":{long}}}', "--max-degree", "6"], 3),
+            (["e1", "--hq", f'{{"{long}":1}}', "--max-t", "6"], 3),
+            (["m-index", "--ring", f'{{"vars":["t"],"relations":["t^{long}"]}}'], 3),
+            (["ring-mul", "--ring", _T3, f"t^{long}", "t"], 3)):
+        code, out, err = run_cli(argv)
+        assert code == want_code and out == "" and err.startswith("deltacalc: "), (argv, err)
+        assert err.count("\n") == 1 and ("5000 digits" in err or "too many digits" in err), err
+        assert "set_int_max_str_digits" not in err and "4300" not in err, (argv, err)
     for argv in (["m-index", "--ring", '["t"]'],
                  ["m-index", "--ring", '{"vars":["t"],"relations":["t^3"],"x":1}'],
                  ["m-index", "--ring", '{"vars":[3],"relations":["t^3"]}'],

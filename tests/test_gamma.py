@@ -89,6 +89,18 @@ def test_s_generators_against_bruteforce(n, max_degree):
     assert got == expected
 
 
+def test_s_generators_refuse_over_budget(monkeypatch):
+    # x3 through degree 20 has 4 generators: exactly at the limit is listed
+    monkeypatch.setattr(gamma, "GENERATOR_LIMIT", 4)
+    assert len(gamma.s_generators(3, 20)) == 4
+    monkeypatch.setattr(gamma, "GENERATOR_LIMIT", 3)
+    with pytest.raises(DomainError, match="more than 3 generators.*budget"):
+        gamma.s_generators(3, 20)
+    # the word search itself and the counting stay unbudgeted by it
+    assert len(list(gamma._generator_words(3, 20))) == 4
+    assert gamma.basis_counts([(3, 1)], 9)[(2, 5)] == 1
+
+
 # --- basis enumeration ----------------------------------------------------
 
 def test_basis_dims_on_one_degree3_generator_golden():
