@@ -39,20 +39,20 @@ def main():
     mismatches = 0
     for ring in RINGS:
         witnesses = [random_witness(rng, ring) for _ in range(args.witnesses)]
-        report = artin.andre_report(ring, witnesses)
+        m_index, bound = artin.nilpotency_bound(ring)
         vars_ = ", ".join(ring.variables)
         rels = ", ".join(exprs.format_ring_monomial(r, ring.variables) for r in ring.relations)
-        print(f"ring GF(2)[{vars_}]/({rels}): m_index={report.m_index}, "
-              f"bound={report.index_bound}")
-        for wr in report.witnesses:
+        print(f"ring GF(2)[{vars_}]/({rels}): m_index={m_index}, bound={bound}")
+        for w in witnesses:
+            index = artin.gamma2_nilpotency_index(w)
             oracle_ok = True
-            for s in range(min(4, report.index_bound + 1) + 1):
-                proj = artin.indecomposable_part(artin.gamma2_oracle_expand(wr.element, s))
-                if (not any(proj.values())) != (s >= wr.index):
+            for s in range(min(4, bound + 1) + 1):
+                proj = artin.indecomposable_part(artin.gamma2_oracle_expand(w, s))
+                if (not any(proj.values())) != (s >= index):
                     oracle_ok = False
                     mismatches += 1
-            flag = "" if oracle_ok and wr.within_bound else "  <-- MISMATCH"
-            print(f"  index {wr.index}  {wr.element.format()}{flag}")
+            flag = "" if oracle_ok and index <= bound else "  <-- MISMATCH"
+            print(f"  index {index}  {w.format()}{flag}")
     print("oracle agreement:", "clean" if mismatches == 0 else f"{mismatches} mismatches")
 
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
-import json
 from math import prod
 
 from .errors import DomainError
@@ -36,11 +35,11 @@ from .f2 import binom_mod2, check_index
 
 RingElement = frozenset  # frozenset[tuple[int, ...]] of normal-form exponent vectors
 
-# Largest set of exponent vectors that is searched: the box below the pure
-# powers that normal_monomials lists, and the grid of corner candidates that
-# m_index tests.  On one core of a 2-vCPU machine, listing a box of this size
-# takes 2-7 s (one to four variables) and about 110 MB peak; testing a grid
-# of 7^7 corners against 13 relations takes about 10 s.
+# Largest search: the box below the pure powers that normal_monomials lists,
+# and the corner candidates times the relations each is tested against in
+# m_index.  On one core of a 2-vCPU machine, listing a box of this size takes
+# 2-7 s (one to four variables) and about 110 MB peak; the corner tests at
+# the limit take about 1 s.
 NORMAL_BOX_LIMIT = 1_000_000
 
 
@@ -73,8 +72,6 @@ class ArtinRing:
     def from_json(cls, source) -> "ArtinRing":
         from . import exprs
 
-        if isinstance(source, str):
-            source = json.loads(source)
         variables = tuple(source["vars"])
         relations = tuple(
             exprs.parse_ring_monomial(text, variables) for text in source["relations"]
@@ -94,11 +91,6 @@ class ArtinRing:
 
     def zero(self) -> RingElement:
         return frozenset()
-
-    def var(self, name: str) -> RingElement:
-        k = self.variables.index(name)
-        mono = tuple(1 if j == k else 0 for j in range(len(self.variables)))
-        return self.element([mono])
 
     def is_normal(self, mono: tuple[int, ...]) -> bool:
         return not any(all(m >= r for m, r in zip(mono, rel)) for rel in self.relations)
@@ -172,15 +164,17 @@ def m_index(ring: ArtinRing) -> int:
     m + e_i in the ideal for every variable i.  Some relation r divides
     m + e_i and not m, so r_i = m_i + 1: every coordinate of m is r_i - 1
     for a relation r with r_i > 0, and it lies below the pure power of its
-    variable.  The grid of those candidates is searched with is_normal; a
-    grid of more than NORMAL_BOX_LIMIT vectors raises DomainError.
+    variable.  The grid of those candidates is searched with is_normal,
+    which tests a candidate against every relation; DomainError is raised
+    when candidates times relations exceeds NORMAL_BOX_LIMIT.
     """
     corners = [{r[k] - 1 for r in ring.relations if 0 < r[k] <= bound}
                for k, bound in enumerate(ring.pure_powers())]
     grid = prod(len(c) for c in corners)
-    if grid > NORMAL_BOX_LIMIT:
-        raise DomainError(f"the ring's staircase has {grid} corner candidates; "
-                          f"the budget is {NORMAL_BOX_LIMIT}")
+    if grid * len(ring.relations) > NORMAL_BOX_LIMIT:
+        raise DomainError(f"the ring's staircase has {grid} corner candidates to test against "
+                          f"{len(ring.relations)} relations; the budget for candidates x "
+                          f"relations is {NORMAL_BOX_LIMIT}")
     return max(sum(m) for m in product(*corners) if ring.is_normal(m)) + 1
 
 
@@ -217,13 +211,8 @@ class MixedElement:
 
     @classmethod
     def from_json(cls, ring: ArtinRing, source) -> "MixedElement":
-        if isinstance(source, str):
-            source = json.loads(source)
         terms = tuple((ring.parse(item["coef"]), item["gen"]) for item in source)
         return cls(ring, terms)
-
-    def to_json(self) -> list[dict]:
-        return [{"coef": self.ring.format(c), "gen": g} for c, g in self.terms]
 
     def format(self) -> str:
         if not self.terms:
@@ -249,6 +238,22 @@ def gamma2_nilpotency_index(w: MixedElement) -> int:
     Frobenius vanishing order.  Zero for the zero element.
     """
     return max((coefficient_nilpotency(w.ring, c) for c, _ in w.terms), default=0)
+
+
+def nilpotency_bound(ring: ArtinRing) -> tuple[int, int]:
+    """The ring's m_index and the bound ceil(log2(m_index)) on every nilpotency index.
+
+    Iterated divided squares of a coefficient-weighted sum reduce, modulo
+    decomposables, to Frobenius powers of the coefficients (see
+    gamma2_nilpotency_index).  Every coefficient lies in the maximal ideal,
+    whose m_index-fold products vanish, so coef^(2^s) = 0 once 2^s reaches
+    m_index.  Through the boundary rule for the reindexed operations,
+    divided-square nilpotency of boundaries yields nilpotency of the
+    degree-doubling operation on the indecomposables of the torsion
+    algebra; this bound is the constructive content of that step.
+    """
+    mi = m_index(ring)
+    return mi, (mi - 1).bit_length()
 
 
 # --- the free divided power algebra over a ring ---
@@ -344,11 +349,11 @@ def gamma2_oracle_expand(w: MixedElement, s: int) -> GammaOverR:
     """Fully expand the s-fold divided square of w through the algebra axioms.
 
     No shortcut modulo decomposables is taken; this is the independent
-    check for the closed-form index.  Bounded to s <= 4 and at most 6
-    terms to keep the expansion at desk scale.
+    check for the closed-form index.  Bounded to 0 <= s <= 4 and at most
+    6 terms to keep the expansion at desk scale.
     """
-    if s > 4 or len(w.terms) > 6:
-        raise DomainError("oracle expansion is limited to s <= 4 and <= 6 terms")
+    if not 0 <= s <= 4 or len(w.terms) > 6:
+        raise DomainError("oracle expansion is limited to 0 <= s <= 4 and <= 6 terms")
     elem = {frozenset({(gen, 0)}): coef for coef, gen in w.terms}
     for _ in range(s):
         elem = gr_gamma(w.ring, elem, 2)
@@ -363,63 +368,6 @@ def indecomposable_part(expansion: GammaOverR) -> dict:
             ((g, e),) = mono
             out[(g, e)] = coef
     return out
-
-
-@dataclass
-class WitnessReport:
-    element: MixedElement
-    index: int
-    within_bound: bool
-
-
-@dataclass
-class AndreReport:
-    """Nilpotency indices of divided squares on coefficient-weighted sums.
-
-    The maximal ideal of an Artin ring is nilpotent, so each index is
-    finite and bounded by ceil(log2(m_index)).  Divided-square nilpotency
-    of boundaries transfers, through the boundary rule for the reindexed
-    operations, to nilpotency of the degree-doubling operation on torsion
-    indecomposables; the numbers below are the constructive content of
-    that mechanism.
-    """
-
-    ring: ArtinRing
-    m_index: int
-    index_bound: int
-    witnesses: list[WitnessReport]
-
-    MECHANISM = (
-        "iterated divided squares of a coefficient-weighted sum reduce, modulo "
-        "decomposable terms, to Frobenius powers of the coefficients",
-        "nilpotency of the maximal ideal forces every coefficient power to vanish, "
-        "bounding the index by ceil(log2(m_index))",
-        "divided-square nilpotency of boundaries yields nilpotency of the "
-        "degree-doubling operation on the indecomposables of the torsion algebra",
-    )
-
-    def to_json(self) -> dict:
-        return {
-            "ring": self.ring.to_json(),
-            "m_index": self.m_index,
-            "index_bound": self.index_bound,
-            "witnesses": [
-                {"element": w.element.format(), "index": w.index, "within_bound": w.within_bound}
-                for w in self.witnesses
-            ],
-            "mechanism": list(self.MECHANISM),
-        }
-
-
-def andre_report(ring: ArtinRing, witnesses) -> AndreReport:
-    """Nilpotency index and bound check for each witness over the ring."""
-    mi = m_index(ring)
-    bound = (mi - 1).bit_length()  # ceil(log2(mi))
-    reports = []
-    for w in witnesses:
-        idx = gamma2_nilpotency_index(w)
-        reports.append(WitnessReport(w, idx, idx <= bound))
-    return AndreReport(ring, mi, bound, reports)
 
 
 # --- axiom fuzzing ---

@@ -31,7 +31,7 @@ exit codes:
 size budgets (exit 4 above them):
   sbasis, e1           gamma factors x table cells <= {gamma.COUNT_WORK_LIMIT:,}
   sgens                generators listed <= {gamma.GENERATOR_LIMIT:,}
-  m-index, nilpotency  corner candidates of the ring's staircase <= {artin.NORMAL_BOX_LIMIT:,}
+  m-index, nilpotency  staircase corner candidates x relations <= {artin.NORMAL_BOX_LIMIT:,}
 
 JSON outputs follow the schemas shipped in docs/.
 """
@@ -229,8 +229,7 @@ def _cmd_nilpotency(args):
     ring = _ring(args.ring)
     element = _mixed_element(ring, args.element)
     index = artin.gamma2_nilpotency_index(element)
-    mi = artin.m_index(ring)
-    bound = (mi - 1).bit_length()
+    mi, bound = artin.nilpotency_bound(ring)
     payload = {
         "element": element.format(),
         "index": index,
@@ -271,7 +270,7 @@ def _cmd_axioms(args):
     }
     lines = [f"{trials} trials per coefficient setting"]
     for label, rep in (("GF(2)", f2_report), ("GF(2)[t]/(t^4)", ring_report)):
-        for a in gamma.AXIOM_NAMES:
+        for a in artin.AXIOM_NAMES:
             lines.append(f"{label:>14}  {a}: {rep.checked[a] - rep.failures[a]}/{rep.checked[a]} pass")
     lines.append("all axioms pass" if payload["ok"] else "FAILURES PRESENT")
     return payload, "\n".join(lines)

@@ -19,7 +19,6 @@ from .gamma import s_basis  # noqa: F401  unused here; perfbench/traced_child.py
 
 @dataclass
 class E1Table:
-    input_hq: GradedDims
     max_t: int
     entries: dict  # (s, t) -> dimension, nonzero entries only
     aq_dim: int | None
@@ -59,4 +58,4 @@ def e1_page(hq: GradedDims, max_t: int) -> E1Table:
     entries = basis_counts(hq.items(), max_t)
     aq_dim = hq.max_degree
     conn = hq.min_degree - 1 if hq.min_degree is not None else None
-    return E1Table(hq, max_t, entries, aq_dim, conn)
+    return E1Table(max_t, entries, aq_dim, conn)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 from .errors import DomainError, RangeError
 
 # Indices and degrees are kept below 2^32 so that doubling searches can
@@ -69,9 +67,6 @@ class GradedDims:
     def items(self) -> list[tuple[int, int]]:
         return sorted(self._entries.items())
 
-    def degrees(self) -> list[int]:
-        return sorted(self._entries)
-
     @property
     def min_degree(self) -> int | None:
         return min(self._entries) if self._entries else None
@@ -80,25 +75,12 @@ class GradedDims:
     def max_degree(self) -> int | None:
         return max(self._entries) if self._entries else None
 
-    def total(self) -> int:
-        return sum(self._entries.values())
-
     def to_json(self) -> dict[str, int]:
         return {str(deg): dim for deg, dim in self.items()}
 
     @classmethod
     def from_json(cls, source) -> "GradedDims":
-        if isinstance(source, str):
-            source = json.loads(source)
         if not isinstance(source, dict):
             raise DomainError("graded dimension table must be a JSON object")
         return cls(source)
 
-
-def poincare_merge(a: GradedDims, b: GradedDims) -> GradedDims:
-    """Degreewise convolution, i.e. the product of the two Poincare series."""
-    out: dict[int, int] = {}
-    for da, na in a.items():
-        for db, nb in b.items():
-            out[da + db] = out.get(da + db, 0) + na * nb
-    return GradedDims(out)

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 
 from . import artin
 from . import words as wd
-from .artin import AXIOM_NAMES, AxiomReport  # AXIOM_NAMES stays public here
 from .errors import DomainError
 from .f2 import GradedDims
 
@@ -459,7 +458,7 @@ def nilpotency_probe(kind: str, start: FreeGenerator, max_iter: int) -> ProbeRes
     return ProbeResult(kind, start, "nonvanishing", None, max_iter, trajectory)
 
 
-def gamma_axiom_suite(trials: int, seed: int = 0, pool=None) -> AxiomReport:
+def gamma_axiom_suite(trials: int, seed: int = 0, pool=None) -> artin.AxiomReport:
     """Fuzz the divided power axioms on random elements over GF(2), up to gamma_4.
 
     Samples are sums of up to three monomials from ``pool`` (positive-degree

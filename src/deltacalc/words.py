@@ -21,7 +21,8 @@ terms delta_a delta_b of delta_i delta_j, of delta_a times each word of
 delta_b times ``t``.  The admissible words are a PBW basis of a Koszul
 algebra (Priddy, *Koszul resolutions*, Trans. AMS 152, 1970), so every
 order of Adem rewriting reaches this one normal form; the recursion ends
-because each product is on a shorter tail or a word of lower moment.
+because each product is on a shorter tail or a word of lower moment
+(the sum of position times index, positions counted from 1).
 Products of one index and one admissible word share a memo of fixed size.
 
 The statistics of a word ``I = (i1, ..., is)`` are its degree
@@ -80,11 +81,6 @@ def degree(word: Word) -> int:
 
 def length(word: Word) -> int:
     return len(word)
-
-
-def moment(word: Word) -> int:
-    """Termination measure for rewriting: sum of position * index (1-based)."""
-    return sum(t * i for t, i in enumerate(word, start=1))
 
 
 def adem_pair(i: int, j: int) -> Element:
@@ -202,13 +198,6 @@ class AlphaWord:
                     f"alpha_{a} (factor {pos} from the right) is undefined on degree {m}"
                 )
             m = 2 * m - a
-
-    def stage_degrees(self) -> list[int]:
-        """Degrees seen before each application, rightmost first, plus the target."""
-        out = [self.source_degree]
-        for a in reversed(self.indices):
-            out.append(2 * out[-1] - a)
-        return out
 
 
 def alpha_stages_valid(indices: Iterable[int], source_degree: int) -> bool:

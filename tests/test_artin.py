@@ -75,15 +75,30 @@ def test_m_index_matches_box_enumeration(ring):
     assert artin.m_index(ring) == max(sum(m) for m in ring.normal_monomials()) + 1
 
 
+@given(small_rings(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_index_within_bound_on_random_rings(ring, data):
+    # oracle for the bound: the m_index of the listed box
+    monos = ring.normal_monomials()
+    box_m_index = max(sum(m) for m in monos) + 1
+    m_index, bound = artin.nilpotency_bound(ring)
+    assert (m_index, bound) == (box_m_index, (box_m_index - 1).bit_length())
+    ideal = [m for m in monos if any(m)]
+    coefs = data.draw(st.lists(st.lists(st.sampled_from(ideal), min_size=1, max_size=3),
+                               max_size=4) if ideal else st.just([]))
+    w = artin.MixedElement(ring, tuple((ring.element(c), f"x{k}") for k, c in enumerate(coefs)))
+    assert artin.gamma2_nilpotency_index(w) <= bound
+
+
 def test_ring_json_round_trip():
-    ring = artin.ArtinRing.from_json('{"vars": ["u", "v"], "relations": ["u^2", "v^3"]}')
+    ring = artin.ArtinRing.from_json({"vars": ["u", "v"], "relations": ["u^2", "v^3"]})
     assert ring.variables == ("u", "v")
     assert set(ring.relations) == {(2, 0), (0, 3)}
     assert artin.ArtinRing.from_json(ring.to_json()) == ring
 
 
 def test_multiplication_examples():
-    t = T3.var("t")
+    t = T3.parse("t")
     t2 = artin.ring_multiply(T3, t, t)
     assert t2 == T3.parse("t^2")
     assert artin.ring_multiply(T3, t2, t) == T3.zero()
@@ -215,15 +230,11 @@ def test_monotonicity_bound():
             assert artin.gamma2_nilpotency_index(w) <= bound
 
 
-def test_andre_report_example():
+def test_nilpotency_bound_example():
     w = artin.MixedElement(T3, ((T3.parse("t"), "x"),))
-    report = artin.andre_report(T3, [w])
-    assert report.m_index == 3
-    assert report.index_bound == 2
-    assert report.witnesses[0].index == 2
-    assert report.witnesses[0].within_bound
-    payload = report.to_json()
-    assert payload["witnesses"][0]["index"] == 2
+    assert artin.nilpotency_bound(T3) == (3, 2)
+    assert artin.gamma2_nilpotency_index(w) == 2
+    assert artin.nilpotency_bound(artin.F2) == (1, 0)
 
 
 def test_andre_report_small_square_zero_ring():
@@ -231,11 +242,6 @@ def test_andre_report_small_square_zero_ring():
     for _ in range(10):
         w = random_witness(rng, UV_SQ)
         assert artin.gamma2_nilpotency_index(w) <= 1
-
-
-def test_andre_report_empty_witness_list():
-    report = artin.andre_report(T3, [])
-    assert report.witnesses == [] and report.index_bound == 2
 
 
 def test_axiom_suite_over_ring_clean():

@@ -120,7 +120,9 @@ def test_exit_codes(monkeypatch):
     assert code == 3
     for argv in (["axioms", "--trials", "-3"],
                  ["annihilate", "--j", "5", "--t", "2", "--max-s", "-1"],
-                 ["probe", "--kind", "gamma2", "--gen", "x3", "--max-iter", "-2"]):
+                 ["probe", "--kind", "gamma2", "--gen", "x3", "--max-iter", "-2"],
+                 ["nilpotency", "--ring", _T3, "--element", '[{"coef":"t","gen":"x"}]',
+                  "--oracle", "--s", "-1"]):
         code, out, err = run_cli(argv)
         assert code == 4 and out == "" and err.startswith("deltacalc: "), (argv, err)
         assert err.count("\n") == 1, (argv, err)
@@ -134,6 +136,9 @@ def test_exit_codes(monkeypatch):
     over_grid = json.dumps({"vars": list("abcdefg"), "relations": [
         "*".join(f"{v}^{k}" for v in "abcdefg") for k in range(2, 9)] + [
         f"{v}^9" for v in "abcdefg"]})
+    # u^a v^(300-a): 90,000 candidates, but each is tested against 301 relations
+    staircase = json.dumps({"vars": ["u", "v"], "relations": [
+        "*".join(f"{v}^{e}" for v, e in (("u", a), ("v", 300 - a)) if e) for a in range(301)]})
 
     def searched(*corners):
         raise AssertionError("the corner grid was searched")
@@ -146,6 +151,7 @@ def test_exit_codes(monkeypatch):
             (["e1", "--hq", '{"2":1000000000}', "--max-t", "6"], "budget"),
             (["sgens", "--n", "50", "--max-degree", "1000"], "budget"),
             (["m-index", "--ring", over_grid], "budget"),
+            (["m-index", "--ring", staircase], "budget"),
             (["nilpotency", "--ring", over_grid, "--element", '[{"coef":"a","gen":"x"}]'],
              "budget")):
         code, out, err = run_cli(argv)

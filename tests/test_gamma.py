@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from deltacalc import gamma
+from deltacalc import artin, gamma
 from deltacalc import words as wd
 from deltacalc.errors import DomainError
 
@@ -323,7 +323,7 @@ def test_gamma_of_unit_rejected():
 def test_axiom_suite_clean():
     report = gamma.gamma_axiom_suite(trials=200, seed=7)
     assert report.ok
-    assert all(report.checked[a] == 200 for a in gamma.AXIOM_NAMES)
+    assert all(report.checked[a] == 200 for a in artin.AXIOM_NAMES)
     with pytest.raises(DomainError):
         gamma.gamma_axiom_suite(trials=-3)
 
