@@ -26,7 +26,6 @@ module therefore sits below ``gamma`` and ``exprs``, and it imports
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import product
 from math import prod
 
@@ -42,15 +41,22 @@ RingElement = frozenset  # frozenset[tuple[int, ...]] of normal-form exponent ve
 # the limit take about 1 s.
 NORMAL_BOX_LIMIT = 1_000_000
 
+# Largest mixed element read from JSON: coefficient monomials times relations,
+# each monomial being tested against every relation.  At the limit the closed
+# form takes milliseconds.  The oracle at s = 4 takes about 4 s on one core of
+# a 2-vCPU machine for one 500-monomial coefficient over GF(2)[t]/(t^1000000),
+# since each squaring forms all pairwise products of the monomials.
+ELEMENT_WORK_LIMIT = 500
 
-@dataclass(frozen=True)
+
 class ArtinRing:
-    variables: tuple[str, ...]
-    relations: tuple[tuple[int, ...], ...]
+    """GF(2)[variables] modulo monomial relations; a value, equal and hashing by its fields."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "variables", tuple(self.variables))
-        object.__setattr__(self, "relations", tuple(tuple(r) for r in self.relations))
+    __slots__ = ("variables", "relations")
+
+    def __init__(self, variables: tuple[str, ...], relations: tuple[tuple[int, ...], ...]):
+        self.variables = tuple(variables)
+        self.relations = tuple(tuple(r) for r in relations)
         if len(set(self.variables)) != len(self.variables):
             raise DomainError("duplicate variable names")
         nvars = len(self.variables)
@@ -67,6 +73,17 @@ class ArtinRing:
                 raise DomainError(
                     f"variable {v!r} needs a pure-power relation to keep the ring Artin"
                 )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.variables, self.relations) == (other.variables, other.relations)
+
+    def __hash__(self):
+        return hash((self.variables, self.relations))
+
+    def __repr__(self):
+        return f"ArtinRing({self.variables!r}, {self.relations!r})"
 
     @classmethod
     def from_json(cls, source) -> "ArtinRing":
@@ -182,17 +199,16 @@ def in_maximal_ideal(ring: ArtinRing, elem: RingElement) -> bool:
     return (0,) * len(ring.variables) not in elem
 
 
-@dataclass(frozen=True)
 class MixedElement:
     """Sum of (coefficient in the maximal ideal) * (positive-degree chain generator)."""
 
-    ring: ArtinRing
-    terms: tuple  # tuple[tuple[RingElement, str], ...], one term per generator
+    __slots__ = ("ring", "terms")
 
-    def __post_init__(self):
+    def __init__(self, ring: ArtinRing, terms):
+        self.ring = ring
         merged: dict[str, RingElement] = {}
-        nvars = len(self.ring.variables)
-        for coef, gen in self.terms:
+        nvars = len(ring.variables)
+        for coef, gen in terms:
             coef = frozenset(coef)
             if any(len(m) != nvars for m in coef):
                 raise DomainError(f"coefficient of {gen} does not live in the given ring")
@@ -202,17 +218,27 @@ class MixedElement:
             coef = merged[gen]
             if not coef:
                 continue
-            if not in_maximal_ideal(self.ring, coef):
+            if not in_maximal_ideal(ring, coef):
                 raise DomainError(
                     f"coefficient of {gen} has a constant term; it must lie in the maximal ideal"
                 )
             clean.append((coef, gen))
-        object.__setattr__(self, "terms", tuple(clean))
+        self.terms = tuple(clean)  # (coefficient, generator) pairs, one per generator
 
     @classmethod
     def from_json(cls, ring: ArtinRing, source) -> "MixedElement":
-        terms = tuple((ring.parse(item["coef"]), item["gen"]) for item in source)
-        return cls(ring, terms)
+        """Build from decoded JSON; DomainError, before any arithmetic, when the parsed
+        monomials (uncancelled) times the relations exceed ELEMENT_WORK_LIMIT."""
+        from . import exprs
+
+        parsed = [(exprs.parse_ring_element(item["coef"], ring.variables), item["gen"])
+                  for item in source]
+        monomials = sum(len(monos) for monos, _ in parsed)
+        if monomials * len(ring.relations) > ELEMENT_WORK_LIMIT:
+            raise DomainError(f"the element has {monomials} coefficient monomials against "
+                              f"{len(ring.relations)} relations; the budget for coefficient "
+                              f"monomials x relations is {ELEMENT_WORK_LIMIT}")
+        return cls(ring, tuple((ring.element(monos), gen) for monos, gen in parsed))
 
     def format(self) -> str:
         if not self.terms:
@@ -221,13 +247,26 @@ class MixedElement:
 
 
 def coefficient_nilpotency(ring: ArtinRing, coef: RingElement) -> int:
-    """Minimal s with coef^(2^s) = 0; finite for coefficients in the maximal ideal."""
-    s = 0
-    current = coef
-    while current:
-        current = ring_multiply(ring, current, current)
-        s += 1
-    return s
+    """Minimal s with coef^(2^s) = 0, for a coefficient in the maximal ideal.
+
+    Squaring is additive in characteristic 2, so coef^(2^s) is the sum of
+    the monomials 2^s * m over the monomials m of coef.  Distinct monomials
+    stay distinct under doubling, so nothing cancels: coef^(2^s) vanishes
+    exactly when a relation divides every 2^s * m.  The index is therefore
+    the largest, over m, of the least such s, at a cost linear in the
+    number of monomials.  A constant term is never nilpotent and raises
+    DomainError.
+    """
+    if not in_maximal_ideal(ring, coef):
+        raise DomainError("a coefficient with a constant term is not nilpotent")
+    index = 0
+    for m in coef:
+        s = 0
+        while ring.is_normal(m):
+            m = tuple(e << 1 for e in m)
+            s += 1
+        index = max(index, s)
+    return index
 
 
 def gamma2_nilpotency_index(w: MixedElement) -> int:
@@ -373,13 +412,15 @@ def indecomposable_part(expansion: GammaOverR) -> dict:
 # --- axiom fuzzing ---
 
 
-@dataclass
 class AxiomReport:
     """Pass/fail tallies for the divided power algebra axioms."""
 
-    trials: int
-    checked: dict[str, int]
-    failures: dict[str, int]
+    __slots__ = ("trials", "checked", "failures")
+
+    def __init__(self, trials: int, checked: dict[str, int], failures: dict[str, int]):
+        self.trials = trials
+        self.checked = checked
+        self.failures = failures
 
     @property
     def ok(self) -> bool:

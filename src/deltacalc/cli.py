@@ -32,6 +32,7 @@ size budgets (exit 4 above them):
   sbasis, e1           gamma factors x table cells <= {gamma.COUNT_WORK_LIMIT:,}
   sgens                generators listed <= {gamma.GENERATOR_LIMIT:,}
   m-index, nilpotency  staircase corner candidates x relations <= {artin.NORMAL_BOX_LIMIT:,}
+  nilpotency --element coefficient monomials x relations <= {artin.ELEMENT_WORK_LIMIT:,}
 
 JSON outputs follow the schemas shipped in docs/.
 """

@@ -9,20 +9,20 @@ read off a list of basis monomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DomainError
 from .f2 import GradedDims
 from .gamma import basis_counts
 from .gamma import s_basis  # noqa: F401  unused here; perfbench/traced_child.py wraps e1.s_basis
 
 
-@dataclass
 class E1Table:
-    max_t: int
-    entries: dict  # (s, t) -> dimension, nonzero entries only
-    aq_dim: int | None
-    conn: int | None
+    __slots__ = ("max_t", "entries", "aq_dim", "conn")
+
+    def __init__(self, max_t: int, entries: dict, aq_dim: int | None, conn: int | None):
+        self.max_t = max_t
+        self.entries = entries  # (s, t) -> dimension, nonzero entries only
+        self.aq_dim = aq_dim
+        self.conn = conn
 
     def dim(self, s: int, t: int) -> int:
         return self.entries.get((s, t), 0)

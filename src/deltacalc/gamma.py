@@ -26,8 +26,6 @@ gamma-power prefixes, and words of excess < n are plain generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import artin
 from . import words as wd
 from .errors import DomainError
@@ -38,26 +36,41 @@ Element = frozenset  # frozenset[SMonomial]
 ZERO: Element = frozenset()
 
 
-@dataclass(frozen=True)
 class FreeGenerator:
-    """A divided-power-algebra generator ``delta_word(x_{base_degree:index})``."""
+    """A divided-power-algebra generator ``delta_word(x_{base_degree:index})``.
 
-    base_degree: int
-    index: int = 1
-    word: wd.Word = ()
+    A value, equal and hashing by its fields; never equal to a tuple.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "word", wd.check_word(self.word))
-        if self.base_degree < 1:
-            raise DomainError(f"generator degree must be >= 1, got {self.base_degree}")
-        if self.index < 1:
-            raise DomainError(f"generator index must be >= 1, got {self.index}")
-        if not wd.is_admissible(self.word):
-            raise DomainError(f"generator word {self.word} is not admissible")
-        if self.word and wd.excess(self.word) >= self.base_degree:
+    __slots__ = ("base_degree", "index", "word")
+
+    def __init__(self, base_degree: int, index: int = 1, word: wd.Word = ()):
+        word = wd.check_word(word)
+        if base_degree < 1:
+            raise DomainError(f"generator degree must be >= 1, got {base_degree}")
+        if index < 1:
+            raise DomainError(f"generator index must be >= 1, got {index}")
+        if not wd.is_admissible(word):
+            raise DomainError(f"generator word {word} is not admissible")
+        if word and wd.excess(word) >= base_degree:
             raise DomainError(
-                f"word of excess {wd.excess(self.word)} does not generate on degree {self.base_degree}"
+                f"word of excess {wd.excess(word)} does not generate on degree {base_degree}"
             )
+        self.base_degree = base_degree
+        self.index = index
+        self.word = word
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.base_degree, self.index, self.word) == (
+            other.base_degree, other.index, other.word)
+
+    def __hash__(self):
+        return hash((self.base_degree, self.index, self.word))
+
+    def __repr__(self):
+        return f"FreeGenerator({self.base_degree}, {self.index}, {self.word})"
 
     @property
     def degree(self) -> int:
@@ -72,17 +85,30 @@ class FreeGenerator:
         return (self.degree, self.base_degree, self.index, self.word)
 
 
-@dataclass(frozen=True)
 class SMonomial:
-    """Product of gamma_{2^e} factors over distinct (generator, e) pairs."""
+    """Product of gamma_{2^e} factors over distinct (generator, e) pairs.
 
-    factors: frozenset = frozenset()  # frozenset[tuple[FreeGenerator, int]]
+    A value, like FreeGenerator: the unit ``SMonomial()`` equals UNIT_MONOMIAL.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "factors", frozenset(self.factors))
+    __slots__ = ("factors",)
+
+    def __init__(self, factors=frozenset()):  # factors: frozenset[tuple[FreeGenerator, int]]
+        self.factors = frozenset(factors)
         for g, e in self.factors:
             if e < 0:
                 raise DomainError(f"negative gamma exponent {e}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.factors == other.factors
+
+    def __hash__(self):
+        return hash((self.factors,))
+
+    def __repr__(self):
+        return f"SMonomial({set(self.factors)!r})"
 
     @property
     def degree(self) -> int:
@@ -284,13 +310,16 @@ def s_generators(n: int, max_degree: int) -> list[FreeGenerator]:
     return gens
 
 
-@dataclass
 class SBasis:
     """Monomial basis of the free divided power algebra on W, through a degree cut."""
 
-    monomials: list[SMonomial]
-    by_degree: GradedDims
-    by_weight: dict[int, GradedDims]
+    __slots__ = ("monomials", "by_degree", "by_weight")
+
+    def __init__(self, monomials: list[SMonomial], by_degree: GradedDims,
+                 by_weight: dict[int, GradedDims]):
+        self.monomials = monomials
+        self.by_degree = by_degree
+        self.by_weight = by_weight
 
 
 def _factors(gens, max_degree: int):
@@ -405,16 +434,19 @@ def basis_counts(gens, max_degree: int) -> dict[tuple[int, int], int]:
     return {(w, d): c for d, row in enumerate(rows) for w, c in row.items()}
 
 
-@dataclass
 class ProbeResult:
     """Outcome of iterating an operation on the indecomposables."""
 
-    kind: str
-    start: FreeGenerator
-    status: str  # "nilpotent" or "nonvanishing"
-    order: int | None
-    iterations: int
-    trajectory: list[Element] = field(default_factory=list)
+    __slots__ = ("kind", "start", "status", "order", "iterations", "trajectory")
+
+    def __init__(self, kind: str, start: FreeGenerator, status: str, order: int | None,
+                 iterations: int, trajectory: list[Element]):
+        self.kind = kind
+        self.start = start
+        self.status = status  # "nilpotent" or "nonvanishing"
+        self.order = order
+        self.iterations = iterations
+        self.trajectory = trajectory
 
 
 def _probe_index(kind: str, deg: int) -> int:

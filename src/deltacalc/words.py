@@ -39,7 +39,6 @@ factor by factor, rightmost first, updating the running degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
@@ -175,7 +174,6 @@ def annihilation_order(j: int, t: int, s_max: int = 16) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
 class AlphaWord:
     """A composite of alpha operations together with the degree it acts on.
 
@@ -184,14 +182,14 @@ class AlphaWord:
     and the degree updates to 2m - a.
     """
 
-    indices: Word
-    source_degree: int
+    __slots__ = ("indices", "source_degree")
 
-    def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(int(a) for a in self.indices))
-        if self.source_degree < 2:
-            raise DomainError(f"alpha words act on degrees >= 2, got {self.source_degree}")
-        m = self.source_degree
+    def __init__(self, indices: Iterable[int], source_degree: int):
+        self.indices = tuple(int(a) for a in indices)
+        self.source_degree = source_degree
+        if source_degree < 2:
+            raise DomainError(f"alpha words act on degrees >= 2, got {source_degree}")
+        m = source_degree
         for pos, a in enumerate(reversed(self.indices), start=1):
             if not 0 <= a <= m - 2:
                 raise DomainError(

@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter, defaultdict
 from fractions import Fraction
@@ -60,8 +61,8 @@ def test_relation_exponents_stay_below_2_32():
 
 
 @st.composite
-def small_rings(draw):
-    nvars = draw(st.integers(1, 4))
+def small_rings(draw, max_vars=4):
+    nvars = draw(st.integers(1, max_vars))
     pure = [tuple(draw(st.integers(1, 8)) if j == k else 0 for j in range(nvars))
             for k in range(nvars)]
     mixed = draw(st.lists(st.tuples(*[st.integers(0, 9)] * nvars).filter(any), max_size=5))
@@ -94,7 +95,10 @@ def test_ring_json_round_trip():
     ring = artin.ArtinRing.from_json({"vars": ["u", "v"], "relations": ["u^2", "v^3"]})
     assert ring.variables == ("u", "v")
     assert set(ring.relations) == {(2, 0), (0, 3)}
-    assert artin.ArtinRing.from_json(ring.to_json()) == ring
+    again = artin.ArtinRing.from_json(json.loads(json.dumps(ring.to_json())))
+    assert again == ring and hash(again) == hash(ring) and again is not ring
+    assert {ring: "uv"}[again] == "uv"  # rings are values, so they key dicts
+    assert ring != UV and ring != (ring.variables, ring.relations)
 
 
 def test_multiplication_examples():
@@ -152,12 +156,44 @@ def test_mixed_element_merges_repeated_generators():
     assert w.terms == ()
 
 
+def squaring_nilpotency(ring, coef):
+    """Oracle for coefficient_nilpotency: square until the power vanishes."""
+    s = 0
+    while coef:
+        coef = artin.ring_multiply(ring, coef, coef)
+        s += 1
+    return s
+
+
+@given(small_rings(max_vars=3), st.data())
+@settings(max_examples=300, deadline=None)
+def test_frobenius_index_matches_repeated_squaring(ring, data):
+    ideal = [m for m in ring.normal_monomials() if any(m)]
+    picks = data.draw(st.lists(st.sampled_from(ideal), max_size=8) if ideal else st.just([]))
+    coef = ring.element(picks)
+    assert artin.coefficient_nilpotency(ring, coef) == squaring_nilpotency(ring, coef)
+
+
+def test_element_budget(monkeypatch):
+    def normalized(*args):
+        raise AssertionError("the element was normalized before it was refused")
+
+    monkeypatch.setattr(artin.ArtinRing, "element", normalized)
+    # 126 + 125 monomials against 2 relations: 502 > ELEMENT_WORK_LIMIT
+    terms = [{"coef": " + ".join(f"u^{k}" for k in range(1, n + 1)), "gen": gen}
+             for n, gen in ((126, "x"), (125, "y"))]
+    with pytest.raises(DomainError, match="251 coefficient monomials against 2 relations.*budget"):
+        artin.MixedElement.from_json(UV, terms)
+
+
 def test_nilpotency_index_examples():
     assert artin.gamma2_nilpotency_index(
         artin.MixedElement(T3, ((T3.parse("t"), "x"),))) == 2
     assert artin.gamma2_nilpotency_index(
         artin.MixedElement(UV, ((UV.parse("u"), "x1"), (UV.parse("v"), "x2")))) == 1
     assert artin.gamma2_nilpotency_index(artin.MixedElement(T3, ())) == 0
+    with pytest.raises(DomainError, match="constant term"):
+        artin.coefficient_nilpotency(T3, T3.parse("1 + t"))
 
 
 def test_oracle_expansion_examples():

@@ -153,7 +153,10 @@ def test_exit_codes(monkeypatch):
             (["m-index", "--ring", over_grid], "budget"),
             (["m-index", "--ring", staircase], "budget"),
             (["nilpotency", "--ring", over_grid, "--element", '[{"coef":"a","gen":"x"}]'],
-             "budget")):
+             "budget"),
+            # 501 monomials against 1 relation, counted before they cancel to one
+            (["nilpotency", "--ring", huge, "--element",
+              json.dumps([{"coef": " + ".join(["t"] * 501), "gen": "x"}])], "budget")):
         code, out, err = run_cli(argv)
         assert code == 4 and out == "" and err.startswith("deltacalc: "), (argv, err)
         assert err.count("\n") == 1 and want in err, (argv, err)

@@ -70,8 +70,24 @@ def test_generator_validation():
         x(3, 1, (4,))  # excess 4 >= 3
     with pytest.raises(DomainError):
         x(0)
+    with pytest.raises(DomainError):
+        x(3, 0)
+    with pytest.raises(DomainError):
+        gamma.SMonomial({(x(3), -1)})
     g = x(3, 1, (4, 2))
     assert g.degree == 9 and g.weight == 4
+
+
+def test_generators_and_monomials_are_values():
+    # equal fields: equal and hashing alike; another type, a tuple included: never equal
+    assert gamma.FreeGenerator(3) == x(3, 1, []) and hash(gamma.FreeGenerator(3)) == hash(x(3))
+    assert len({x(3), x(3, 1, ()), x(3, 2), x(3, 1, (2,))}) == 3
+    assert gamma.FreeGenerator(3) != (3, 1, ())
+    assert gamma.SMonomial() == gamma.UNIT_MONOMIAL
+    assert hash(gamma.SMonomial()) == hash(gamma.UNIT_MONOMIAL)
+    m = gamma.SMonomial({(x(3, 1, (2,)), 1)})
+    assert m == gamma.SMonomial(frozenset({(x(3, 1, (2,)), 1)})) and m != m.factors
+    assert len({m, gamma.SMonomial([(x(3, 1, (2,)), 1)]), gamma.UNIT_MONOMIAL}) == 2
 
 
 def test_s_generators_examples():
