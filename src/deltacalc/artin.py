@@ -43,10 +43,19 @@ NORMAL_BOX_LIMIT = 1_000_000
 
 # Largest mixed element read from JSON: coefficient monomials times relations,
 # each monomial being tested against every relation.  At the limit the closed
-# form takes milliseconds.  The oracle at s = 4 takes about 4 s on one core of
-# a 2-vCPU machine for one 500-monomial coefficient over GF(2)[t]/(t^1000000),
-# since each squaring forms all pairwise products of the monomials.
+# form takes milliseconds.  The oracle at s = 4 takes about 2.5 s on one core
+# of a 2-vCPU machine for one 500-monomial coefficient over
+# GF(2)[t]/(t^1000000), since each squaring forms all pairwise products of the
+# monomials.
 ELEMENT_WORK_LIMIT = 500
+
+# Largest squaring in the oracle expansion: the iterate's coefficient
+# monomials, squared, times the relations, a bound on the monomial products
+# gamma_2 forms and tests.  One 1,000-monomial coefficient over
+# GF(2)[t]/(t^1000000) is at the limit and takes 2.5-3.5 s to square on one
+# core of a 2-vCPU machine.  Iterates grow fast: six 2-monomial terms over
+# (u^1000, v^1000, w^1000) reach 3 million at s = 3.
+ORACLE_WORK_LIMIT = 1_000_000
 
 
 class ArtinRing:
@@ -360,28 +369,24 @@ def _gr_gamma_term(ring: ArtinRing, mono: frozenset, coef: RingElement, k: int) 
 def gr_gamma(ring: ArtinRing, elem: GammaOverR, k: int) -> GammaOverR:
     """The divided power gamma_k over the ring, expanded through the axioms.
 
-    gamma_k of a sum distributes as the sum over r of gamma_r(head) times
-    gamma_(k-r)(rest); on a single factor, k splits along its binary
-    expansion.  The result is a sum, so the order of the terms is free.
+    gamma_j of a sum x + t is the sum over r of gamma_r(t) times
+    gamma_(j-r)(x); on a single factor, k splits along its binary
+    expansion.  The terms are folded in one at a time, with powers[j]
+    holding gamma_j of those folded so far.  Each new term updates j from k
+    down to 1, so powers[j - r] still holds its old value, as in the
+    knapsack of gamma.basis_counts; gamma_0 = 1 makes the r = 0 product the
+    value already in place.
     """
     if k < 0:
         raise DomainError(f"negative divided power {k}")
-    terms = list(elem.items())
-
-    def go(idx: int, k: int) -> GammaOverR:
-        if k == 0:
-            return _gr_unit(ring)
-        if idx == len(terms):
-            return {}
-        mono, coef = terms[idx]
-        out: GammaOverR = {}
-        for r in range(k + 1):
-            head = _gr_gamma_term(ring, mono, coef, r)
-            if head:
-                gr_multiply(ring, head, go(idx + 1, k - r), out)
-        return out
-
-    return go(0, k)
+    powers = [_gr_unit(ring)] + [{} for _ in range(k)]
+    for mono, coef in elem.items():
+        heads = [_gr_gamma_term(ring, mono, coef, r) for r in range(k + 1)]
+        for j in range(k, 0, -1):
+            for r in range(1, j + 1):
+                if heads[r] and powers[j - r]:
+                    gr_multiply(ring, heads[r], powers[j - r], powers[j])
+    return powers[k]
 
 
 def gamma2_oracle_expand(w: MixedElement, s: int) -> GammaOverR:
@@ -389,12 +394,19 @@ def gamma2_oracle_expand(w: MixedElement, s: int) -> GammaOverR:
 
     No shortcut modulo decomposables is taken; this is the independent
     check for the closed-form index.  Bounded to 0 <= s <= 4 and at most
-    6 terms to keep the expansion at desk scale.
+    6 terms to keep the expansion at desk scale, and DomainError is raised
+    before a squaring whose coefficient monomials, squared, times the
+    relations exceed ORACLE_WORK_LIMIT.
     """
     if not 0 <= s <= 4 or len(w.terms) > 6:
         raise DomainError("oracle expansion is limited to 0 <= s <= 4 and <= 6 terms")
     elem = {frozenset({(gen, 0)}): coef for coef, gen in w.terms}
-    for _ in range(s):
+    for step in range(1, s + 1):
+        monomials = sum(len(coef) for coef in elem.values())
+        if monomials * monomials * len(w.ring.relations) > ORACLE_WORK_LIMIT:
+            raise DomainError(f"squaring {step} of the oracle expansion has {monomials} "
+                              f"coefficient monomials against {len(w.ring.relations)} relations; "
+                              f"the budget for monomials^2 x relations is {ORACLE_WORK_LIMIT}")
         elem = gr_gamma(w.ring, elem, 2)
     return elem
 

@@ -319,16 +319,16 @@ def format_factor(g: gamma.FreeGenerator, e: int) -> str:
     return f"g{1 << e}({format_generator(g)})"
 
 
-def format_monomial(mon: gamma.SMonomial) -> str:
-    if not mon.factors:
+def format_monomial(mon: gamma.Monomial) -> str:
+    if not mon:
         return "1"
-    return "*".join(format_factor(g, e) for g, e in mon.sorted_factors())
+    return "*".join(format_factor(g, e) for g, e in gamma.sorted_factors(mon))
 
 
 def format_s_element(elem: gamma.Element) -> str:
     if not elem:
         return "0"
-    return " + ".join(format_monomial(m) for m in sorted(elem, key=lambda m: m.sort_key))
+    return " + ".join(format_monomial(m) for m in sorted(elem, key=gamma.sort_key))
 
 
 def format_ring_monomial(mono: tuple[int, ...], variables: tuple[str, ...]) -> str:

@@ -9,11 +9,16 @@ the divided square, so a basis monomial is a product of factors
 ``gamma_{2^e}(g)`` over *distinct* pairs (g, e): a repeated factor squares
 to zero.  Dimension tables are therefore counted by a 0/1 knapsack over
 the factors (``basis_counts``); ``s_basis`` lists the monomials themselves
-for callers that need them, and is the counting's test oracle.  Elements
-are frozensets of monomials with GF(2) coefficients by membership.
-Products, divided powers and the axiom suite run in ``artin``'s divided
-power algebra over a ring, with GF(2) as the ring ``artin.F2`` that has
-no variables.
+for callers that need them, and is the counting's test oracle.
+
+A monomial is the frozenset of its factors, pairs ``(FreeGenerator, e)``
+standing for ``gamma_{2^e}(g)``; the unit is the empty frozenset.
+``degree``, ``weight``, ``sorted_factors`` and ``sort_key`` read one.
+Elements are frozensets of monomials with GF(2) coefficients by
+membership.  Products, divided powers and the axiom suite run in
+``artin``'s divided power algebra over a ring, with GF(2) as the ring
+``artin.F2`` that has no variables; a monomial is that engine's key as it
+stands, so it passes through unchanged.
 
 The action of delta_i is computed through the word calculus: a factor
 ``gamma_{2^e}(delta_I x_n)`` is the admissible word made of e doubling
@@ -26,12 +31,15 @@ gamma-power prefixes, and words of excess < n are plain generators.
 
 from __future__ import annotations
 
+from math import comb
+
 from . import artin
 from . import words as wd
 from .errors import DomainError
 from .f2 import GradedDims
 
-Element = frozenset  # frozenset[SMonomial]
+Monomial = frozenset  # frozenset[tuple[FreeGenerator, int]]
+Element = frozenset  # frozenset[Monomial]
 
 ZERO: Element = frozenset()
 
@@ -85,58 +93,33 @@ class FreeGenerator:
         return (self.degree, self.base_degree, self.index, self.word)
 
 
-class SMonomial:
-    """Product of gamma_{2^e} factors over distinct (generator, e) pairs.
-
-    A value, like FreeGenerator: the unit ``SMonomial()`` equals UNIT_MONOMIAL.
-    """
-
-    __slots__ = ("factors",)
-
-    def __init__(self, factors=frozenset()):  # factors: frozenset[tuple[FreeGenerator, int]]
-        self.factors = frozenset(factors)
-        for g, e in self.factors:
-            if e < 0:
-                raise DomainError(f"negative gamma exponent {e}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.factors == other.factors
-
-    def __hash__(self):
-        return hash((self.factors,))
-
-    def __repr__(self):
-        return f"SMonomial({set(self.factors)!r})"
-
-    @property
-    def degree(self) -> int:
-        return sum((1 << e) * g.degree for g, e in self.factors)
-
-    @property
-    def weight(self) -> int:
-        return sum((1 << e) * g.weight for g, e in self.factors)
-
-    def sorted_factors(self) -> list[tuple[FreeGenerator, int]]:
-        return sorted(self.factors, key=lambda fe: (fe[0].sort_key, fe[1]))
-
-    @property
-    def sort_key(self):
-        return (self.degree, [(g.sort_key, e) for g, e in self.sorted_factors()])
+def degree(mon: Monomial) -> int:
+    return sum((1 << e) * g.degree for g, e in mon)
 
 
-UNIT_MONOMIAL = SMonomial()
+def weight(mon: Monomial) -> int:
+    return sum((1 << e) * g.weight for g, e in mon)
+
+
+def sorted_factors(mon: Monomial) -> list[tuple[FreeGenerator, int]]:
+    return sorted(mon, key=lambda fe: (fe[0].sort_key, fe[1]))
+
+
+def sort_key(mon: Monomial):
+    return (degree(mon), [(g.sort_key, e) for g, e in sorted_factors(mon)])
+
+
+UNIT_MONOMIAL: Monomial = frozenset()
 ONE: Element = frozenset({UNIT_MONOMIAL})
 
 
 def generator_element(g: FreeGenerator) -> Element:
-    return frozenset({SMonomial(frozenset({(g, 0)}))})
+    return frozenset({frozenset({(g, 0)})})
 
 
 def element_degree(elem: Element) -> int | None:
     """Common degree of a homogeneous element; None for the zero element."""
-    degs = {m.degree for m in elem}
+    degs = {degree(m) for m in elem}
     if not degs:
         return None
     if len(degs) > 1:
@@ -147,17 +130,18 @@ def element_degree(elem: Element) -> int | None:
 _F2_ONE = artin.F2.one()
 
 
-def _over_f2(elem: Element) -> artin.GammaOverR:
-    return {m.factors: _F2_ONE for m in elem}
-
-
-def _from_f2(elem: artin.GammaOverR) -> Element:
-    return frozenset(SMonomial(f) for f in elem)
-
-
 def multiply(a: Element, b: Element) -> Element:
     """Bilinear product; monomials sharing a factor multiply to zero."""
-    return _from_f2(artin.gr_multiply(artin.F2, _over_f2(a), _over_f2(b)))
+    return frozenset(artin.gr_multiply(artin.F2, dict.fromkeys(a, _F2_ONE),
+                                       dict.fromkeys(b, _F2_ONE)))
+
+
+# Work budget of gamma_power: k^2 times C(k+n-1, n-1), the most terms gamma_k
+# of an n-monomial element can have.  The fold forms up to k^2 / 2 products
+# per term, and gamma_r of one term costs r ring products.  At the limit,
+# gamma_1000 of one monomial takes about 1 s on one core of a 2-vCPU
+# machine, and gamma_99 of two monomials 0.04 s.
+GAMMA_WORK_LIMIT = 1_000_000
 
 
 def gamma_power(elem: Element, k: int) -> Element:
@@ -165,9 +149,15 @@ def gamma_power(elem: Element, k: int) -> Element:
 
     General k splits along the binary expansion on single factors and
     distributes over sums; gamma_k of a product of two positive-degree
-    elements vanishes for k >= 2.
+    elements vanishes for k >= 2.  DomainError is raised before the
+    expansion when k^2 times the term bound exceeds GAMMA_WORK_LIMIT.
     """
-    return _from_f2(artin.gr_gamma(artin.F2, _over_f2(elem), k))
+    n = len(elem)
+    if k > 0 and (k * k > GAMMA_WORK_LIMIT or k * k * comb(k + n - 1, k) > GAMMA_WORK_LIMIT):
+        raise DomainError(f"gamma_{k} of an element with n = {n} monomials: k^2 times "
+                          f"C(k+n-1, n-1), the most terms it can have, exceeds the budget "
+                          f"of {GAMMA_WORK_LIMIT}")
+    return frozenset(artin.gr_gamma(artin.F2, dict.fromkeys(elem, _F2_ONE), k))
 
 
 def _gamma_prefix_word(g: FreeGenerator, e: int) -> wd.Word:
@@ -214,10 +204,10 @@ def delta_act(i: int, elem: Element) -> Element:
     return frozenset(out)
 
 
-def _delta_act_monomial(i: int, mon: SMonomial) -> Element:
-    if len(mon.factors) != 1:
+def _delta_act_monomial(i: int, mon: Monomial) -> Element:
+    if len(mon) != 1:
         return ZERO  # the unit in degree 0, or a Cartan-killed product
-    ((g, e),) = mon.factors
+    ((g, e),) = mon
     m = g.degree << e
     if i > m:
         return ZERO
@@ -225,7 +215,7 @@ def _delta_act_monomial(i: int, mon: SMonomial) -> Element:
         # gamma powers of a degree-1 generator sit below the word calculus:
         # only the top operation (the divided square) survives, by weight.
         if i == m:
-            return frozenset({SMonomial(frozenset({(g, e + 1)}))})
+            return frozenset({frozenset({(g, e + 1)})})
         return ZERO
     full = (i,) + _gamma_prefix_word(g, e)
     out: set = set()
@@ -235,7 +225,7 @@ def _delta_act_monomial(i: int, mon: SMonomial) -> Element:
             continue
         e2, word2 = peeled
         g2 = FreeGenerator(g.base_degree, g.index, word2)
-        out ^= {SMonomial(frozenset({(g2, e2)}))}
+        out ^= {frozenset({(g2, e2)})}
     return frozenset(out)
 
 
@@ -260,8 +250,8 @@ def q_project(elem: Element) -> Element:
     """
     kept = set()
     for mon in elem:
-        if len(mon.factors) == 1:
-            ((_, e),) = mon.factors
+        if len(mon) == 1:
+            ((_, e),) = mon
             if e == 0:
                 kept.add(mon)
     return frozenset(kept)
@@ -315,7 +305,7 @@ class SBasis:
 
     __slots__ = ("monomials", "by_degree", "by_weight")
 
-    def __init__(self, monomials: list[SMonomial], by_degree: GradedDims,
+    def __init__(self, monomials: list[Monomial], by_degree: GradedDims,
                  by_weight: dict[int, GradedDims]):
         self.monomials = monomials
         self.by_degree = by_degree
@@ -355,10 +345,10 @@ def s_basis(gens, max_degree: int) -> SBasis:
     ]
     factor_pool.sort(key=lambda fe: ((1 << fe[1]) * fe[0].degree, fe[0].sort_key, fe[1]))
 
-    monomials: list[SMonomial] = []
+    monomials: list[Monomial] = []
 
     def grow(start: int, chosen: tuple, total: int):
-        monomials.append(SMonomial(frozenset(chosen)))
+        monomials.append(frozenset(chosen))
         for k in range(start, len(factor_pool)):
             g, e = factor_pool[k]
             d = (1 << e) * g.degree
@@ -368,11 +358,12 @@ def s_basis(gens, max_degree: int) -> SBasis:
 
     if max_degree >= 0:
         grow(0, (), 0)
-    monomials.sort(key=lambda m: m.sort_key)
+    monomials.sort(key=sort_key)
 
     counts: dict[tuple[int, int], int] = {}
     for m in monomials:
-        counts[m.weight, m.degree] = counts.get((m.weight, m.degree), 0) + 1
+        key = weight(m), degree(m)
+        counts[key] = counts.get(key, 0) + 1
     return SBasis(monomials, *graded_tables(counts))
 
 
@@ -498,13 +489,12 @@ def gamma_axiom_suite(trials: int, seed: int = 0, pool=None) -> artin.AxiomRepor
     degrees 1, 2, 3.  The scalar rule is checked for both scalars, 0 and 1.
     """
     if pool is None:
-        pool = [m for m in s_basis([(1, 1), (2, 1), (3, 1)], 9).monomials if m.factors]
-    factors = [m.factors for m in pool]
+        pool = [m for m in s_basis([(1, 1), (2, 1), (3, 1)], 9).monomials if m]
 
     def sample(rng) -> artin.GammaOverR:
         out: artin.GammaOverR = {}
         for _ in range(rng.randint(1, 3)):
-            artin.add_term(out, rng.choice(factors), _F2_ONE)
+            artin.add_term(out, rng.choice(pool), _F2_ONE)
         return out
 
     return artin.axiom_suite(artin.F2, sample, lambda rng: (artin.F2.zero(), _F2_ONE),

@@ -131,7 +131,7 @@ def test_criterion_06_unstable_vanishing_and_cartan():
             checked_unstable += 1
 
     pool = gamma.s_basis([(2, 1), (3, 1)], 14).monomials
-    positive = [m for m in pool if m.factors]
+    positive = [m for m in pool if m]
     checked_cartan = 0
     while checked_cartan < 400:
         a, b = rng.choice(positive), rng.choice(positive)

@@ -343,10 +343,10 @@ ORACLE_RINGS = [
 ]
 
 
-def random_gamma_element(rng, ring, gens):
+def random_gamma_element(rng, ring, gens, terms=(1, 3)):
     monos = ring.normal_monomials()
     out = {}
-    for _ in range(rng.randint(1, 3)):
+    for _ in range(rng.randint(*terms)):
         mono = frozenset((rng.choice(gens), rng.randint(0, 2))
                          for _ in range(rng.randint(1, 2)))
         coef = ring.element(rng.sample(monos, k=rng.randint(1, min(3, len(monos)))))
@@ -368,11 +368,27 @@ def test_engine_matches_rational_oracle(ring):
             q_multiply(ring, q_lift(x), q_lift(y))), (x, y)
 
 
+@pytest.mark.parametrize("ring", ORACLE_RINGS[:2], ids=lambda r: "*".join(r.variables) or "F2")
+def test_engine_matches_rational_oracle_on_longer_sums(ring):
+    # the fold over terms, on sums of 4-6 terms
+    rng = random.Random(2468)
+    for _ in range(40):
+        x = random_gamma_element(rng, ring, ["a", "b", "c", "d"], (4, 6))
+        k = rng.randint(2, 4)
+        assert artin.gr_gamma(ring, x, k) == q_gamma(ring, x, k), (x, k)
+
+
+def test_gamma_folds_long_sums_without_recursion():
+    # 3,000 terms; a recursion with one frame per term overflowed the stack here
+    elem = {frozenset({(f"x{i}", 0)}): artin.F2.one() for i in range(3000)}
+    assert artin.gr_gamma(artin.F2, elem, 1) == elem
+
+
 def test_gf2_entry_points_match_rational_oracle():
-    pool = [m for m in gamma.s_basis([(1, 1), (2, 1), (3, 1)], 9).monomials if m.factors]
+    pool = [m for m in gamma.s_basis([(1, 1), (2, 1), (3, 1)], 9).monomials if m]
     rng = random.Random(8765)
     for _ in range(150):
         x = frozenset(rng.sample(pool, k=rng.randint(1, 3)))
         k = rng.randint(0, 5)
-        expected = q_gamma(artin.F2, {m.factors: artin.F2.one() for m in x}, k)
-        assert gamma.gamma_power(x, k) == frozenset(gamma.SMonomial(f) for f in expected)
+        expected = q_gamma(artin.F2, dict.fromkeys(x, artin.F2.one()), k)
+        assert gamma.gamma_power(x, k) == frozenset(expected)

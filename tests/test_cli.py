@@ -1,5 +1,7 @@
 import io
 import json
+import re
+from collections import Counter
 from math import comb
 import subprocess
 import sys
@@ -143,7 +145,11 @@ def test_exit_codes(monkeypatch):
     def searched(*corners):
         raise AssertionError("the corner grid was searched")
 
+    def expanded(*args):
+        raise AssertionError("the divided power was expanded")
+
     monkeypatch.setattr(cli.artin, "product", searched)
+    monkeypatch.setattr(cli.artin, "gr_gamma", expanded)
     for argv, want in (
             (["sbasis", "--hq", '{"0":1}', "--max-degree", "6"], "degrees must be >= 1"),
             (["e1", "--hq", '{"0":1}', "--max-t", "6"], "connected"),
@@ -156,11 +162,23 @@ def test_exit_codes(monkeypatch):
              "budget"),
             # 501 monomials against 1 relation, counted before they cancel to one
             (["nilpotency", "--ring", huge, "--element",
-              json.dumps([{"coef": " + ".join(["t"] * 501), "gen": "x"}])], "budget")):
+              json.dumps([{"coef": " + ".join(["t"] * 501), "gen": "x"}])], "budget"),
+            # k^2 = 64,000,000 alone is over the divided-power budget
+            (["act", "--i", "2", "--on", "g8000(x3)"], "budget")):
         code, out, err = run_cli(argv)
         assert code == 4 and out == "" and err.startswith("deltacalc: "), (argv, err)
         assert err.count("\n") == 1 and want in err, (argv, err)
     monkeypatch.undo()
+    # the oracle's iterates over (u^1000, v^1000, w^1000) grow past its budget
+    # (3 million monomials^2 x relations at s = 3 for 2-monomial coefficients)
+    uvw = '{"vars":["u","v","w"],"relations":["u^1000","v^1000","w^1000"]}'
+    for coefs in (["u", "v", "w", "u*v", "v*w", "u*w"],
+                  ["u+v", "v+w", "u+w", "u*v+w", "v*w+u", "u*w+v"]):
+        element = json.dumps([{"coef": c, "gen": f"x{k}"} for k, c in enumerate(coefs)])
+        code, out, err = run_cli(["nilpotency", "--ring", uvw, "--element", element,
+                                  "--oracle", "--s", "4"])
+        assert code == 4 and out == "" and err.startswith("deltacalc: "), (coefs, err)
+        assert err.count("\n") == 1 and "budget" in err, (coefs, err)
     # integers too long to convert name the input, not the interpreter's digit limit
     long = "9" * 5000
     for argv, want_code in (
@@ -188,6 +206,16 @@ def test_exit_codes(monkeypatch):
             code, _, err = run_cli(argv)
             assert code == 3 and err.startswith("deltacalc: "), (argv, err)
             assert err.count("\n") == 1, (argv, err)
+
+
+def test_every_budget_is_stated_in_help():
+    # each *_LIMIT constant of artin and gamma ends its own "<= value" line
+    limits = [getattr(mod, name) for mod in (cli.artin, cli.gamma)
+              for name in vars(mod) if name.endswith("_LIMIT")]
+    assert len(limits) >= 6
+    stated = Counter(re.findall(r"<= ([0-9,]+)$", cli._EPILOG, re.M))
+    needed = Counter(f"{limit:,}" for limit in limits)
+    assert all(stated[value] >= count for value, count in needed.items()), (needed, stated)
 
 
 def test_stats_and_theta_payloads(validators):
