@@ -138,9 +138,9 @@ def multiply(a: Element, b: Element) -> Element:
 
 # Work budget of gamma_power: k^2 times C(k+n-1, n-1), the most terms gamma_k
 # of an n-monomial element can have.  The fold forms up to k^2 / 2 products
-# per term, and gamma_r of one term costs r ring products.  At the limit,
-# gamma_1000 of one monomial takes about 1 s on one core of a 2-vCPU
-# machine, and gamma_99 of two monomials 0.04 s.
+# per term, and the k divided powers of one term cost one ring product each.
+# At the limit, gamma_1000 of one monomial takes about 0.05 s on one core of
+# a 2-vCPU machine, and gamma_99 of two monomials 0.02 s.
 GAMMA_WORK_LIMIT = 1_000_000
 
 

@@ -363,9 +363,23 @@ def test_engine_matches_rational_oracle(ring):
         x = random_gamma_element(rng, ring, gens)
         y = random_gamma_element(rng, ring, gens)
         k = rng.randint(0, 5)
-        assert artin.gr_gamma(ring, x, k) == q_gamma(ring, x, k), (x, k)
+        table = artin.gr_gammas(ring, x, k)
+        assert table == [q_gamma(ring, x, j) for j in range(k + 1)], (x, k)
+        assert artin.gr_gamma(ring, x, k) == table[k]
         assert artin.gr_multiply(ring, x, y) == q_lower(
             q_multiply(ring, q_lift(x), q_lift(y))), (x, y)
+
+
+def test_gamma_table_when_the_coefficient_squares_to_zero():
+    # t^2 over t^4: the heads of each term stop at r = 1, yet gamma_j of the
+    # sum is not zero for j >= 2
+    t2 = T4.element([(2,)])
+    x = {frozenset({("a", 0)}): t2, frozenset({("b", 1)}): t2 ^ T4.element([(1,)]),
+         frozenset({("a", 1), ("c", 0)}): t2}
+    for elem in ({frozenset({("a", 0)}): t2}, x):
+        table = artin.gr_gammas(T4, elem, 4)
+        assert table == [q_gamma(T4, elem, j) for j in range(5)], elem
+    assert table[2]
 
 
 @pytest.mark.parametrize("ring", ORACLE_RINGS[:2], ids=lambda r: "*".join(r.variables) or "F2")
@@ -376,6 +390,22 @@ def test_engine_matches_rational_oracle_on_longer_sums(ring):
         x = random_gamma_element(rng, ring, ["a", "b", "c", "d"], (4, 6))
         k = rng.randint(2, 4)
         assert artin.gr_gamma(ring, x, k) == q_gamma(ring, x, k), (x, k)
+
+
+def test_axiom_suites_catch_a_wrong_gamma_3(monkeypatch):
+    # the suites read every divided power of x and y from one gr_gammas table
+    # per element, so a wrong entry of that table must still fail them
+    engine = artin.gr_gammas
+
+    def wrong(ring, elem, k):
+        table = engine(ring, elem, k)
+        if k >= 3:
+            table[3] = {}
+        return table
+
+    monkeypatch.setattr(artin, "gr_gammas", wrong)
+    assert gamma.gamma_axiom_suite(trials=100, seed=7).ok is False
+    assert artin.gamma_axiom_suite_over_ring(T4, trials=100, seed=11).ok is False
 
 
 def test_gamma_folds_long_sums_without_recursion():
