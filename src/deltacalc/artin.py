@@ -44,25 +44,25 @@ NORMAL_BOX_LIMIT = 1_000_000
 
 # Largest mixed element read from JSON: coefficient monomials times relations,
 # each monomial being tested against every relation.  At the limit the closed
-# form takes milliseconds.  The oracle at s = 4 takes about 2.5 s on one core
+# form takes milliseconds.  The oracle at s = 4 takes 1.2-1.7 s on one core
 # of a 2-vCPU machine for one 500-monomial coefficient over
 # GF(2)[t]/(t^1000000), since each squaring forms all pairwise products of the
 # monomials.
 ELEMENT_WORK_LIMIT = 500
 
-# Largest squaring in the oracle expansion: the iterate's coefficient
-# monomials, squared, times the relations, a bound on the monomial products
-# gamma_2 forms and tests.  One 1,000-monomial coefficient over
-# GF(2)[t]/(t^1000000) is at the limit and takes 2.5-3.5 s to square on one
-# core of a 2-vCPU machine.  Iterates grow fast: six 2-monomial terms over
-# (u^1000, v^1000, w^1000) reach 3 million at s = 3.
-ORACLE_WORK_LIMIT = 1_000_000
+# Largest divided-power expansion, the work gr_gammas counts as it goes: k
+# for the k + 1 powers it returns, plus |a| * |b| * max(1, relations) for
+# each ring product a * b it forms.  gamma_k of one monomial over GF(2) costs
+# 3k - 1; at the limit, gamma_100000(x3) takes about 2.9 s and 285 MB peak on
+# one core of a 2-vCPU machine.  One squaring of a 500-monomial coefficient
+# over GF(2)[t]/(t^1000000) costs 251,002.
+EXPANSION_WORK_LIMIT = 300_000
 
 
 class ArtinRing:
     """GF(2)[variables] modulo monomial relations; a value, equal and hashing by its fields."""
 
-    __slots__ = ("variables", "relations")
+    __slots__ = ("variables", "relations", "pure_powers")
 
     def __init__(self, variables: tuple[str, ...], relations: tuple[tuple[int, ...], ...]):
         self.variables = tuple(variables)
@@ -77,12 +77,12 @@ class ArtinRing:
                 check_index(e, "relation exponent")
             if not any(r):
                 raise DomainError("the unit monomial cannot be a relation")
-        for k, v in enumerate(self.variables):
-            if not any(all(e == 0 for j, e in enumerate(r) if j != k) and r[k] > 0
-                       for r in self.relations):
-                raise DomainError(
-                    f"variable {v!r} needs a pure-power relation to keep the ring Artin"
-                )
+        # the lowest pure power of each variable that is a relation
+        self.pure_powers = tuple(min((r[k] for r in self.relations if r[k] == sum(r)), default=0)
+                                 for k in range(nvars))
+        if 0 in self.pure_powers:
+            v = self.variables[self.pure_powers.index(0)]
+            raise DomainError(f"variable {v!r} needs a pure-power relation to keep the ring Artin")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -133,19 +133,13 @@ class ArtinRing:
                 out ^= {m}
         return frozenset(out)
 
-    def pure_powers(self) -> list[int]:
-        """The lowest pure power of each variable that is a relation."""
-        return [min(r[k] for r in self.relations
-                    if r[k] > 0 and all(e == 0 for j, e in enumerate(r) if j != k))
-                for k in range(len(self.variables))]
-
     def normal_monomials(self) -> list[tuple[int, ...]]:
         """Every normal-form monomial, the unit included, in exponent order.
 
         The search runs over the box below the pure-power relations; a box
         of more than NORMAL_BOX_LIMIT exponent vectors raises DomainError.
         """
-        bounds = self.pure_powers()
+        bounds = self.pure_powers
         box = prod(bounds)
         if box > NORMAL_BOX_LIMIT:
             raise DomainError(f"the ring's exponent box has {box} monomials; "
@@ -200,7 +194,7 @@ def m_index(ring: ArtinRing) -> int:
     when candidates times relations exceeds NORMAL_BOX_LIMIT.
     """
     corners = [{r[k] - 1 for r in ring.relations if 0 < r[k] <= bound}
-               for k, bound in enumerate(ring.pure_powers())]
+               for k, bound in enumerate(ring.pure_powers)]
     grid = prod(len(c) for c in corners)
     if grid * len(ring.relations) > NORMAL_BOX_LIMIT:
         raise DomainError(f"the ring's staircase has {grid} corner candidates to test against "
@@ -345,41 +339,64 @@ def _gr_unit(ring: ArtinRing) -> GammaOverR:
     return {frozenset(): ring.one()}
 
 
+def _over_budget(k: int) -> DomainError:
+    return DomainError(f"gamma_{k} needs more work than its budget of {EXPANSION_WORK_LIMIT} "
+                       "(k + monomials x monomials x relations per ring product)")
+
+
 def gr_gammas(ring: ArtinRing, elem: GammaOverR, k: int) -> list[GammaOverR]:
     """The divided powers [gamma_0, ..., gamma_k] over the ring, expanded through the axioms.
 
     gamma_j of a sum x + t is the sum over r of gamma_r(t) times
-    gamma_(j-r)(x).  The terms are folded in one at a time, with powers[j]
-    holding gamma_j of those folded so far.  Each new term updates j from k
-    down to 1, so powers[j - r] still holds its old value, as in the
-    knapsack of gamma.basis_counts; gamma_0 = 1 makes the r = 0 product the
-    value already in place.  The heads gamma_r(t) of a term t = c * m are t
-    itself at r = 1; on a single factor m = gamma_(2^e)(g), c^r times the
-    factors of g at the bits of r << e, with c^r formed from c^(r-1) and the
-    heads stopped at the first zero power; on a product of two or more
-    factors, zero for r >= 2.  A degree-0 term raises DomainError when k >= 2.
+    gamma_(j-r)(x).  The terms are folded in one at a time, powers[j]
+    holding gamma_j of those folded so far, up to the top nonzero j.  Each
+    new term updates j from the new top down to 1, so powers[j - r] still
+    holds its old value, as in the knapsack of gamma.basis_counts; r starts
+    where j - r meets the old top, and gamma_0 = 1 makes r = 0 the value in
+    place.  The heads gamma_r(t) of t = c * m are t at r = 1; on a single
+    factor m = gamma_(2^e)(g), c^r = c^(r-1) * c times the factors of g at
+    the bits of r << e, up to the first zero power; on two or more factors,
+    zero for r >= 2.  DomainError for a degree-0 term when k >= 2, and
+    before a ring product that takes the work past EXPANSION_WORK_LIMIT.
     """
     if k < 0:
         raise DomainError(f"negative divided power {k}")
-    powers = [_gr_unit(ring)] + [{} for _ in range(k)]
+    work, limit, weight = k, EXPANSION_WORK_LIMIT, max(1, len(ring.relations))
+    if work > limit:
+        raise _over_budget(k)
+    powers = [_gr_unit(ring)]
     for mono, coef in elem.items():
         if k >= 2 and not mono:
             raise DomainError("divided powers are undefined on degree-0 terms")
-        heads = [None, {mono: coef}]
+        heads = [None, (mono, coef)]  # gamma_r(coef * mono) is one monomial term
         if k >= 2 and len(mono) == 1:
             ((g, e),) = mono
             power = coef
             for r in range(2, k + 1):
+                work += len(power) * len(coef) * weight
+                if work > limit:
+                    raise _over_budget(k)
                 power = ring_multiply(ring, power, coef)
                 if not power:
                     break
-                factors = frozenset((g, b + e) for b in range(r.bit_length()) if r >> b & 1)
-                heads.append({factors: power})
-        for j in range(k, 0, -1):
-            for r in range(1, min(j, len(heads) - 1) + 1):
-                if powers[j - r]:
-                    gr_multiply(ring, heads[r], powers[j - r], powers[j])
-    return powers
+                heads.append((frozenset((g, b + e) for b in range(r.bit_length()) if r >> b & 1),
+                              power))
+        top = len(powers) - 1
+        powers += [{} for _ in range(min(k, top + len(heads) - 1) - top)]
+        for j in range(len(powers) - 1, 0, -1):
+            out = powers[j]
+            for r in range(max(1, j - top), min(j, len(heads) - 1) + 1):
+                mh, ch = heads[r]
+                cost = len(ch) * weight
+                for mp, cp in powers[j - r].items():
+                    if not mh & mp:
+                        work += cost * len(cp)
+                        if work > limit:
+                            raise _over_budget(k)
+                        add_term(out, mh | mp, ring_multiply(ring, ch, cp))
+        while not powers[-1]:
+            powers.pop()
+    return powers + [{} for _ in range(k + 1 - len(powers))]
 
 
 def gr_gamma(ring: ArtinRing, elem: GammaOverR, k: int) -> GammaOverR:
@@ -392,19 +409,13 @@ def gamma2_oracle_expand(w: MixedElement, s: int) -> GammaOverR:
 
     No shortcut modulo decomposables is taken; this is the independent
     check for the closed-form index.  Bounded to 0 <= s <= 4 and at most
-    6 terms to keep the expansion at desk scale, and DomainError is raised
-    before a squaring whose coefficient monomials, squared, times the
-    relations exceed ORACLE_WORK_LIMIT.
+    6 terms to keep the expansion at desk scale; each squaring is bounded
+    by gr_gammas's EXPANSION_WORK_LIMIT, which raises DomainError.
     """
     if not 0 <= s <= 4 or len(w.terms) > 6:
         raise DomainError("oracle expansion is limited to 0 <= s <= 4 and <= 6 terms")
     elem = {frozenset({(gen, 0)}): coef for coef, gen in w.terms}
-    for step in range(1, s + 1):
-        monomials = sum(len(coef) for coef in elem.values())
-        if monomials * monomials * len(w.ring.relations) > ORACLE_WORK_LIMIT:
-            raise DomainError(f"squaring {step} of the oracle expansion has {monomials} "
-                              f"coefficient monomials against {len(w.ring.relations)} relations; "
-                              f"the budget for monomials^2 x relations is {ORACLE_WORK_LIMIT}")
+    for _ in range(s):
         elem = gr_gamma(w.ring, elem, 2)
     return elem
 

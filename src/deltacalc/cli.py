@@ -33,8 +33,7 @@ size budgets (exit 4 above them):
   sgens                generators listed <= {gamma.GENERATOR_LIMIT:,}
   m-index, nilpotency  staircase corner candidates x relations <= {artin.NORMAL_BOX_LIMIT:,}
   nilpotency --element coefficient monomials x relations <= {artin.ELEMENT_WORK_LIMIT:,}
-  nilpotency --oracle  per squaring, coefficient monomials^2 x relations <= {artin.ORACLE_WORK_LIMIT:,}
-  act                  g<k>(atom) of n monomials, k^2 x C(k+n-1, n-1) <= {gamma.GAMMA_WORK_LIMIT:,}
+  act, --oracle        gamma_k: k + |a| x |b| x relations per ring product a*b <= {artin.EXPANSION_WORK_LIMIT:,}
 
 JSON outputs follow the schemas shipped in docs/.
 """

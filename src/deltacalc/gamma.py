@@ -31,8 +31,6 @@ gamma-power prefixes, and words of excess < n are plain generators.
 
 from __future__ import annotations
 
-from math import comb
-
 from . import artin
 from . import words as wd
 from .errors import DomainError
@@ -136,27 +134,14 @@ def multiply(a: Element, b: Element) -> Element:
                                        dict.fromkeys(b, _F2_ONE)))
 
 
-# Work budget of gamma_power: k^2 times C(k+n-1, n-1), the most terms gamma_k
-# of an n-monomial element can have.  The fold forms up to k^2 / 2 products
-# per term, and the k divided powers of one term cost one ring product each.
-# At the limit, gamma_1000 of one monomial takes about 0.05 s on one core of
-# a 2-vCPU machine, and gamma_99 of two monomials 0.02 s.
-GAMMA_WORK_LIMIT = 1_000_000
-
-
 def gamma_power(elem: Element, k: int) -> Element:
     """The divided power gamma_k, expanded through the algebra axioms.
 
     General k splits along the binary expansion on single factors and
     distributes over sums; gamma_k of a product of two positive-degree
-    elements vanishes for k >= 2.  DomainError is raised before the
-    expansion when k^2 times the term bound exceeds GAMMA_WORK_LIMIT.
+    elements vanishes for k >= 2.  The expansion is artin.gr_gamma's, which
+    raises DomainError past its EXPANSION_WORK_LIMIT.
     """
-    n = len(elem)
-    if k > 0 and (k * k > GAMMA_WORK_LIMIT or k * k * comb(k + n - 1, k) > GAMMA_WORK_LIMIT):
-        raise DomainError(f"gamma_{k} of an element with n = {n} monomials: k^2 times "
-                          f"C(k+n-1, n-1), the most terms it can have, exceeds the budget "
-                          f"of {GAMMA_WORK_LIMIT}")
     return frozenset(artin.gr_gamma(artin.F2, dict.fromkeys(elem, _F2_ONE), k))
 
 
@@ -447,10 +432,12 @@ def _probe_index(kind: str, deg: int) -> int:
         return deg - 1
     if kind.startswith("alpha:"):
         try:
-            return deg - int(kind.split(":", 1)[1])
+            a = int(kind.split(":", 1)[1])
         except ValueError:
-            pass
-    raise DomainError(f"unknown probe kind {kind!r}; use gamma2, alpha:K, or andre")
+            a = -1
+        if a >= 0:  # alpha_a = delta_(m-a), defined for 0 <= a <= m - 2
+            return deg - a
+    raise DomainError(f"unknown probe kind {kind!r}; use gamma2, alpha:K with K >= 0, or andre")
 
 
 def nilpotency_probe(kind: str, start: FreeGenerator, max_iter: int) -> ProbeResult:

@@ -392,6 +392,68 @@ def test_engine_matches_rational_oracle_on_longer_sums(ring):
         assert artin.gr_gamma(ring, x, k) == q_gamma(ring, x, k), (x, k)
 
 
+def dense_gammas(ring, elem, k):
+    """The dense fold, every j from k down and every r <= j: the reference for the sparse one."""
+    powers = [{frozenset(): ring.one()}] + [{} for _ in range(k)]
+    for mono, coef in elem.items():
+        heads = [None, {mono: coef}]
+        if k >= 2 and len(mono) == 1:
+            ((g, e),) = mono
+            power = coef
+            for r in range(2, k + 1):
+                power = artin.ring_multiply(ring, power, coef)
+                if not power:
+                    break
+                factors = frozenset((g, b + e) for b in range(r.bit_length()) if r >> b & 1)
+                heads.append({factors: power})
+        for j in range(k, 0, -1):
+            for r in range(1, min(j, len(heads) - 1) + 1):
+                if powers[j - r]:
+                    artin.gr_multiply(ring, heads[r], powers[j - r], powers[j])
+    return powers
+
+
+@st.composite
+def gamma_sums(draw, ring):
+    monos = ring.normal_monomials()
+    out = {}
+    for _ in range(draw(st.integers(1, 5))):
+        mono = frozenset(draw(st.lists(st.tuples(st.sampled_from("abc"), st.integers(0, 2)),
+                                       min_size=1, max_size=2)))
+        artin.add_term(out, mono, ring.element(draw(st.lists(st.sampled_from(monos),
+                                                             min_size=1, max_size=3))))
+    return out
+
+
+@pytest.mark.parametrize("ring", ORACLE_RINGS, ids=lambda r: "*".join(r.variables) or "F2")
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_sparse_fold_matches_dense_reference(ring, data):
+    x = data.draw(gamma_sums(ring))
+    k = data.draw(st.integers(0, 8))
+    assert artin.gr_gammas(ring, x, k) == dense_gammas(ring, x, k)
+
+
+def test_engine_counts_its_own_work(monkeypatch):
+    # k alone is counted first, so a huge k is refused before any list is built
+    with pytest.raises(DomainError, match="budget"):
+        artin.gr_gammas(artin.F2, {}, 10**12)
+    a, ab, t = frozenset({("a", 0)}), frozenset({("a", 0), ("b", 0)}), T4.parse("t")
+    # over t^4: k = 2, the head t * t, two fold products for t a, and one for
+    # t ab, whose product with gamma_1 = t a shares the factor a and is skipped
+    monkeypatch.setattr(artin, "EXPANSION_WORK_LIMIT", 6)
+    assert artin.gr_gammas(T4, {a: t, ab: t}, 2)[2] == {frozenset({("a", 1)}): T4.parse("t^2")}
+    monkeypatch.setattr(artin, "EXPANSION_WORK_LIMIT", 5)
+    with pytest.raises(DomainError, match="budget"):
+        artin.gr_gammas(T4, {a: t, ab: t}, 2)
+    # each product weighs max(1, relations): k = 1 plus one product against two relations
+    monkeypatch.setattr(artin, "EXPANSION_WORK_LIMIT", 3)
+    assert artin.gr_gammas(UV, {a: UV.parse("u")}, 1)[1] == {a: UV.parse("u")}
+    monkeypatch.setattr(artin, "EXPANSION_WORK_LIMIT", 2)
+    with pytest.raises(DomainError, match="budget"):
+        artin.gr_gammas(UV, {a: UV.parse("u")}, 1)
+
+
 def test_axiom_suites_catch_a_wrong_gamma_3(monkeypatch):
     # the suites read every divided power of x and y from one gr_gammas table
     # per element, so a wrong entry of that table must still fail them

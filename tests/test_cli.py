@@ -145,11 +145,11 @@ def test_exit_codes(monkeypatch):
     def searched(*corners):
         raise AssertionError("the corner grid was searched")
 
-    def expanded(*args):
-        raise AssertionError("the divided power was expanded")
+    def multiplied(*args):
+        raise AssertionError("a ring product was formed")
 
     monkeypatch.setattr(cli.artin, "product", searched)
-    monkeypatch.setattr(cli.artin, "gr_gamma", expanded)
+    monkeypatch.setattr(cli.artin, "ring_multiply", multiplied)
     for argv, want in (
             (["sbasis", "--hq", '{"0":1}', "--max-degree", "6"], "degrees must be >= 1"),
             (["e1", "--hq", '{"0":1}', "--max-t", "6"], "connected"),
@@ -163,14 +163,18 @@ def test_exit_codes(monkeypatch):
             # 501 monomials against 1 relation, counted before they cancel to one
             (["nilpotency", "--ring", huge, "--element",
               json.dumps([{"coef": " + ".join(["t"] * 501), "gen": "x"}])], "budget"),
-            # k^2 = 64,000,000 alone is over the divided-power budget
-            (["act", "--i", "2", "--on", "g8000(x3)"], "budget")):
+            # k alone is over the divided-power budget, counted before any product
+            (["act", "--i", "2", "--on", "g300001(x3)"], "budget"),
+            # alpha_a is defined for 0 <= a <= m - 2 only
+            (["probe", "--kind", "alpha:-1", "--gen", "x4", "--max-iter", "3"], "K >= 0")):
         code, out, err = run_cli(argv)
         assert code == 4 and out == "" and err.startswith("deltacalc: "), (argv, err)
         assert err.count("\n") == 1 and want in err, (argv, err)
     monkeypatch.undo()
-    # the oracle's iterates over (u^1000, v^1000, w^1000) grow past its budget
-    # (3 million monomials^2 x relations at s = 3 for 2-monomial coefficients)
+    # one monomial costs 3k - 1 in the engine: g2000(x3) is answered
+    assert run_cli(["act", "--i", "2", "--on", "g2000(x3)"]) == (0, "0\n", "")
+    # the oracle's iterates over (u^1000, v^1000, w^1000) grow past the divided-power
+    # budget: 487,172 at s = 4 for 1-monomial coefficients, 455,780 at s = 3 for 2-monomial
     uvw = '{"vars":["u","v","w"],"relations":["u^1000","v^1000","w^1000"]}'
     for coefs in (["u", "v", "w", "u*v", "v*w", "u*w"],
                   ["u+v", "v+w", "u+w", "u*v+w", "v*w+u", "u*w+v"]):
@@ -212,7 +216,7 @@ def test_every_budget_is_stated_in_help():
     # each *_LIMIT constant of artin and gamma ends its own "<= value" line
     limits = [getattr(mod, name) for mod in (cli.artin, cli.gamma)
               for name in vars(mod) if name.endswith("_LIMIT")]
-    assert len(limits) >= 6
+    assert len(limits) >= 5
     stated = Counter(re.findall(r"<= ([0-9,]+)$", cli._EPILOG, re.M))
     needed = Counter(f"{limit:,}" for limit in limits)
     assert all(stated[value] >= count for value, count in needed.items()), (needed, stated)

@@ -325,14 +325,17 @@ def test_gamma2_of_sum():
 
 
 def test_gamma_power_refuses_over_budget(monkeypatch):
-    # k^2 times C(k+n-1, n-1), the most terms gamma_k of n monomials can have
-    monkeypatch.setattr(gamma, "GAMMA_WORK_LIMIT", 16)
+    # the engine's count: k, then one per product over GF(2), so gamma_k of one
+    # monomial costs k + (k - 1) heads + k fold products = 3k - 1
     x3, both = elem(x(3)), elem(x(3), x(2))
-    assert gamma.gamma_power(x3, 4) == frozenset({frozenset({(x(3), 2)})})  # 16 x 1
-    assert len(gamma.gamma_power(both, 2)) == 3  # 4 x 3
-    assert gamma.gamma_power(gamma.ZERO, 4) == gamma.ZERO
-    # 25 x 1, 9 x 4, and k^2 alone, which also bounds the fold's k + 1 partial sums
-    for e, k in ((x3, 5), (both, 3), (x3, 10**10), (gamma.ZERO, 10**10)):
+    for e, k in ((x3, 10**10), (gamma.ZERO, 10**10)):  # k alone, before any list is built
+        with pytest.raises(DomainError, match="budget"):
+            gamma.gamma_power(e, k)
+    monkeypatch.setattr(artin, "EXPANSION_WORK_LIMIT", 11)
+    assert gamma.gamma_power(x3, 4) == frozenset({frozenset({(x(3), 2)})})  # 11
+    assert len(gamma.gamma_power(both, 2)) == 3  # 9
+    assert gamma.gamma_power(gamma.ZERO, 11) == gamma.ZERO  # 11
+    for e, k in ((x3, 5), (both, 3), (gamma.ZERO, 12)):  # 14, 16 and 12
         with pytest.raises(DomainError, match="budget"):
             gamma.gamma_power(e, k)
 
@@ -378,6 +381,8 @@ def test_probe_domain_boundary():
         gamma.nilpotency_probe("andre", x(2), 3)
     with pytest.raises(DomainError):
         gamma.nilpotency_probe("alpha:3", x(4), 3)
+    with pytest.raises(DomainError, match="K >= 0"):  # delta_5 on degree 4 would act as zero
+        gamma.nilpotency_probe("alpha:-1", x(4), 3)
     with pytest.raises(DomainError):
         gamma.nilpotency_probe("frobenius", x(4), 3)
     with pytest.raises(DomainError):
