@@ -23,7 +23,11 @@ algebra (Priddy, *Koszul resolutions*, Trans. AMS 152, 1970), so every
 order of Adem rewriting reaches this one normal form; the recursion ends
 because each product is on a shorter tail or a word of lower moment
 (the sum of position times index, positions counted from 1).
-Products of one index and one admissible word share a memo of fixed size.
+Two memos of fixed size hold the work: a pair table of the Adem terms of
+each (i, j), whose coefficients are tested by Lucas's theorem (C(n, k) is
+odd iff k and n-k share no bit), and the products of one index and one
+admissible word that need rewriting.  Admissible products and products
+whose pair has no terms are formed inline and never enter the second memo.
 
 The statistics of a word ``I = (i1, ..., is)`` are its degree
 ``d(I) = i1 + ... + is``, its length ``s``, and its excess
@@ -43,7 +47,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .errors import DomainError
-from .f2 import binom_mod2, check_index
+from .f2 import INDEX_LIMIT, binom_mod2, check_index
 
 Word = tuple[int, ...]
 Element = frozenset  # frozenset[Word], GF(2) coefficients by membership
@@ -51,8 +55,9 @@ Element = frozenset  # frozenset[Word], GF(2) coefficients by membership
 ZERO: Element = frozenset()
 IDENTITY: Word = ()
 
-# Entries of the left-multiplication memo, about 35 MB when full.  Words of
-# length 6 need about 27 each with indices up to 32, and 370 up to 64.
+# Entries of each memo.  The product memo holds about 36 MB when full.  A
+# word of length 6 adds about 40 products to it with indices up to 32, and
+# 300 up to 64; the pair table grows about as fast.
 _LEFT_MUL_MEMO_SIZE = 1 << 16
 
 
@@ -91,38 +96,67 @@ def adem_pair(i: int, j: int) -> Element:
         raise DomainError(f"delta indices must be >= 2, got ({i}, {j})")
     if i >= 2 * j:
         raise DomainError(f"pair ({i}, {j}) is already admissible")
-    return _adem(i, j)
+    return frozenset(_adem(i, j))
 
 
-def _adem(i: int, j: int) -> Element:
+@lru_cache(maxsize=_LEFT_MUL_MEMO_SIZE)
+def _adem(i: int, j: int) -> tuple[tuple[int, int], ...]:
+    """The Adem terms (a, b) of delta_i delta_j for i < 2j; empty when it is zero.
+
+    By Lucas's theorem C(j-i+s-1, j-s) is odd iff its parts j-s and 2s-i-1
+    share no bit.  The binomial arguments must stay below 2^32.  Since
+    2s-i-1 >= 0 on the range, j-s never exceeds j-i+s-1, which rises by one
+    with s: it is checked at the low end, and if it passes the limit by the
+    high end, it first does so at exactly 2^32.
+    """
     lo = -(-(i + 1) // 2)
     hi = (i + j) // 3
-    out = set()
-    for s in range(lo, hi + 1):
-        if binom_mod2(j - i + s - 1, j - s):
-            out.add((i + j - s, s))
-    return frozenset(out)
+    if lo > hi:
+        return ()
+    check_index(j - i + lo - 1, "binomial argument")
+    check_index(min(j - i + hi - 1, INDEX_LIMIT), "binomial argument")
+    return tuple((i + j - s, s) for s in range(lo, hi + 1) if not (j - s) & (2 * s - i - 1))
 
 
 @lru_cache(maxsize=_LEFT_MUL_MEMO_SIZE)
 def _left_mul(i: int, word: Word) -> Element:
-    """delta_i times an admissible word, as a sum of admissible words."""
-    if not word or i >= 2 * word[0]:
-        return frozenset({(i,) + word})
+    """delta_i times an admissible ``(j, *t)`` with a nonzero Adem sum for (i, j).
+
+    Admissible and zero products are formed here and in ``_left_mul_sum``,
+    not looked up, so the memo holds only products that need rewriting.
+    """
+    t = word[1:]
     out: set = set()
     for a, b in _adem(i, word[0]):
-        for y in _left_mul(b, word[1:]):
-            out ^= _left_mul(a, y)
+        if not t or b >= 2 * t[0]:
+            tails = ((b,) + t,)
+        elif _adem(b, t[0]):
+            tails = _left_mul(b, t)
+        else:
+            continue
+        for y in tails:
+            if a >= 2 * y[0]:
+                out ^= {(a,) + y}
+            elif _adem(a, y[0]):
+                out ^= _left_mul(a, y)
+    return frozenset(out)
+
+
+def _left_mul_sum(i: int, element: Iterable[Word]) -> Element:
+    """delta_i times a sum of admissible words."""
+    out: set = set()
+    for w in element:
+        if not w or i >= 2 * w[0]:
+            out ^= {(i,) + w}
+        elif _adem(i, w[0]):
+            out ^= _left_mul(i, w)
     return frozenset(out)
 
 
 def _normal_form(word: Word) -> Element:
     acc: Element = frozenset({IDENTITY})
     for i in reversed(word):
-        out: set = set()
-        for w in acc:
-            out ^= _left_mul(i, w)
-        acc = frozenset(out)
+        acc = _left_mul_sum(i, acc)
     return acc
 
 
@@ -168,8 +202,11 @@ def annihilation_order(j: int, t: int, s_max: int = 16) -> int | None:
         raise DomainError(f"annihilation search needs j > 2^t, got j={j}, t={t}")
     if s_max < 0:
         raise DomainError(f"annihilation search bound must be >= 0, got {s_max}")
+    # theta(s, t) = (2^(s+t),) + theta(s-1, t): each step multiplies the last on the left
+    acc: Element = frozenset({(j,)})
     for s in range(1, s_max + 1):
-        if not _normal_form(theta(s, t) + (j,)):
+        acc = _left_mul_sum(check_index(2 ** (s + t), "theta index"), acc)
+        if not acc:
             return s
     return None
 

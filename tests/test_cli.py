@@ -5,6 +5,7 @@ from collections import Counter
 from math import comb
 import subprocess
 import sys
+import tomllib
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -196,6 +197,14 @@ def test_exit_codes(monkeypatch):
         assert code == want_code and out == "" and err.startswith("deltacalc: "), (argv, err)
         assert err.count("\n") == 1 and ("5000 digits" in err or "too many digits" in err), err
         assert "set_int_max_str_digits" not in err and "4300" not in err, (argv, err)
+    # indices at 2^32 are refused where they arise, before any Adem term is tested:
+    # d4 d(2^32 - 1) has about 1.4e9 values of s, and at s = 6 an argument reaches 2^32
+    assert run_cli(["reduce", "d4 d4294967295"]) == (
+        5, "", "deltacalc: binomial argument 4294967296 exceeds 2^32\n")
+    assert run_cli(["annihilate", "--j", "2147483649", "--t", "31"]) == (
+        5, "", "deltacalc: theta index 4294967296 exceeds 2^32\n")
+    assert run_cli(["reduce", "d3221225472 d1073741824"]) == (
+        0, "d3221225472 d1073741824\n", "")
     for argv in (["m-index", "--ring", '["t"]'],
                  ["m-index", "--ring", '{"vars":["t"],"relations":["t^3"],"x":1}'],
                  ["m-index", "--ring", '{"vars":[3],"relations":["t^3"]}'],
@@ -281,13 +290,40 @@ def test_probe_steps_render():
     assert payload["steps"] == ["x3", "d2 x3", "d4 d2 x3", "d8 d4 d2 x3"]
 
 
-def test_module_entry_point():
-    result = subprocess.run(
-        [sys.executable, "-m", "deltacalc", "--format", "json", "reduce", "d5 d4"],
-        capture_output=True, text=True,
-    )
-    assert result.returncode == 0
-    assert json.loads(result.stdout) == {"element": "d6 d3"}
+def test_module_entry_point(monkeypatch):
+    # a 1,000-word sum with 300 terms in its normal form, and one input per error code
+    big = " + ".join(f"d{a} d{b} d7" for a in range(10, 50) for b in range(3, 28))
+    cases = [["reduce", big], ["--format", "json", "reduce", big],
+             ["--format", "json", "reduce", "d5 d4"],
+             ["reduce", "d5 dx"], ["annihilate", "--j", "4", "--t", "2"],
+             ["reduce", "d4 d4294967295"]]
+    codes = []
+    for argv in cases:
+        result = subprocess.run([sys.executable, "-m", "deltacalc", *argv],
+                                capture_output=True, text=True)
+        got = (result.returncode, result.stdout, result.stderr)
+        assert got == run_cli(argv), argv
+        codes.append(result.returncode)
+    assert codes == [0, 0, 0, 3, 4, 5]
+    assert run_json(["reduce", "d5 d4"]) == {"element": "d6 d3"}
+    assert run_cli(["reduce", big])[1].count(" + ") == 299
+    # both entry points freeze the heap on the way out; main itself does not
+    probe = ("import atexit, gc, runpy, sys; "
+             "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0)); "
+             "sys.argv = ['deltacalc', 'reduce', 'd5 d4']; "
+             "runpy.run_module('deltacalc', run_name='__main__')")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert (result.returncode, result.stdout) == (0, "d6 d3\nfrozen True\n"), result.stderr
+    pyproject = tomllib.loads((DOCS.parent / "pyproject.toml").read_text())
+    assert pyproject["project"]["scripts"]["deltacalc"] == "deltacalc.cli:entry"
+    frozen = []
+    monkeypatch.setattr(cli.gc, "freeze", lambda: frozen.append(True))
+    run_cli(["reduce", "d5 d4"])
+    assert frozen == []
+    monkeypatch.setattr(sys, "argv", ["deltacalc", "reduce", "d5 d4"])
+    with redirect_stdout(io.StringIO()) as out:
+        assert cli.entry() == 0
+    assert out.getvalue() == "d6 d3\n" and frozen == [True]
 
 
 def test_axioms_output_independent_of_thread_setting(monkeypatch):

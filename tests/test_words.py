@@ -7,6 +7,7 @@ from adem_reference import ORDERS, adem_by_direct_sum
 from adem_reference import reduce as reference_reduce
 from deltacalc import words as wd
 from deltacalc.errors import DomainError, RangeError
+from deltacalc.f2 import INDEX_LIMIT, binom_mod2
 
 raw_words = st.lists(st.integers(2, 32), min_size=0, max_size=5).map(tuple)
 nonempty_words = st.lists(st.integers(2, 32), min_size=1, max_size=5).map(tuple)
@@ -48,15 +49,41 @@ def test_adem_pair_rejections():
         wd.adem_pair(1, 4)
 
 
-@given(st.integers(2, 64), st.integers(2, 64))
-def test_adem_pair_matches_direct_sum_and_is_admissible(i, j):
-    if i >= 2 * j:
-        return
-    result = wd.adem_pair(i, j)
-    assert result == adem_by_direct_sum(i, j)
-    for word in result:
-        assert wd.is_admissible(word)
-        assert wd.degree(word) == i + j
+def test_adem_pair_matches_direct_sum_and_is_admissible():
+    for i in range(2, 200):
+        for j in range(-(-(i + 1) // 2), 200):  # every j with i < 2j
+            result = wd.adem_pair(i, j)
+            assert result == adem_by_direct_sum(i, j), (i, j)
+            for word in result:
+                assert wd.is_admissible(word)
+                assert wd.degree(word) == i + j
+
+
+def _adem_by_coefficient_loop(i, j):
+    """The Adem sum with one range-checked binomial parity per s."""
+    out = set()
+    for s in range(-(-(i + 1) // 2), (i + j) // 3 + 1):
+        if binom_mod2(j - i + s - 1, j - s):
+            out.add((i + j - s, s))
+    return frozenset(out)
+
+
+def test_adem_pair_range_contract_matches_the_coefficient_loop():
+    # Rewriting can produce indices at or past 2^32, so j runs across it.  For
+    # small i a binomial argument passes 2^32 within a few dozen s; for i near
+    # 2j the range is short and every argument stays small.
+    def outcome(adem, i, j):
+        try:
+            return adem(i, j)
+        except RangeError as err:
+            return str(err)
+
+    for j in range(INDEX_LIMIT - 30, INDEX_LIMIT + 10):
+        for i in [*range(2, 40), *range(2 * j - 60, 2 * j)]:
+            expected = outcome(_adem_by_coefficient_loop, i, j)
+            assert outcome(wd.adem_pair, i, j) == expected, (i, j)
+    assert outcome(wd.adem_pair, 4, INDEX_LIMIT - 1) == (
+        f"binomial argument {INDEX_LIMIT} exceeds 2^32")
 
 
 def test_reduce_examples():
@@ -118,19 +145,23 @@ def test_reduce_matches_reference_at_workload_sizes(word):
 
 
 def test_left_mul_memo_is_bounded(monkeypatch):
-    info = wd._left_mul.cache_info()
-    assert info.maxsize == wd._LEFT_MUL_MEMO_SIZE and info.currsize <= info.maxsize
-    # These words reduce to 13 and 12 terms through several hundred memo
-    # entries each; a memo of 8 evicts as it goes and must give the same.
+    for memo in (wd._left_mul, wd._adem):
+        info = memo.cache_info()
+        assert info.maxsize == wd._LEFT_MUL_MEMO_SIZE and info.currsize <= info.maxsize
+    # These words reduce to 13 and 12 terms through a few hundred entries of
+    # each memo; memos of 8 evict as they go and must give the same.
     small = functools.lru_cache(maxsize=8)(wd._left_mul.__wrapped__)
+    small_pairs = functools.lru_cache(maxsize=8)(wd._adem.__wrapped__)
     monkeypatch.setattr(wd, "_left_mul", small)
+    monkeypatch.setattr(wd, "_adem", small_pairs)
     for word in [(25, 29, 12, 29, 29, 29), (25, 25, 25, 32, 29, 26)]:
         result = wd.reduce([word])
         assert len(result) >= 12
         for order in ORDERS:
             assert reference_reduce([word], order) == result, (word, order)
-    info = small.cache_info()
-    assert info.currsize == 8 and info.misses > 8
+    for memo in (small, small_pairs):
+        info = memo.cache_info()
+        assert info.currsize == 8 and info.misses > 8
 
 
 @given(nonempty_words)
@@ -207,6 +238,18 @@ def test_annihilation_reduces_length_17_words():
     # theta(16, 1) delta_j has length 17; the search reaches it in both cases.
     assert wd.annihilation_order(65537, 1) == 16
     assert wd.annihilation_order(131073, 1) is None
+
+
+def test_annihilation_order_matches_reduce_of_the_whole_word():
+    # the search multiplies one index per step; reduce rewrites each word afresh
+    for t in range(5):
+        for j in range(2**t + 1, 2**t + 200):
+            expected = next((s for s in range(1, 9)
+                             if not wd.reduce([wd.theta(s, t) + (j,)])), None)
+            assert wd.annihilation_order(j, t, s_max=8) == expected, (j, t)
+    for j in range(5, 40):
+        expected = wd.annihilation_order(j, 2)
+        assert wd.annihilation_order(j, 2, s_max=expected - 1) is None, j
 
 
 def test_annihilation_existence_desk_scale():
