@@ -203,9 +203,10 @@ def annihilation_order(j: int, t: int, s_max: int = 16) -> int | None:
     if s_max < 0:
         raise DomainError(f"annihilation search bound must be >= 0, got {s_max}")
     # theta(s, t) = (2^(s+t),) + theta(s-1, t): each step multiplies the last on the left
+    # by theta's first index, which theta has checked (t >= 0, index below 2^32)
     acc: Element = frozenset({(j,)})
     for s in range(1, s_max + 1):
-        acc = _left_mul_sum(check_index(2 ** (s + t), "theta index"), acc)
+        acc = _left_mul_sum(theta(s, t)[0], acc)
         if not acc:
             return s
     return None
