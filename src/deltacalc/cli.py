@@ -30,6 +30,8 @@ exit codes:
   5  integer range overflow (indices must stay below 2^32)
 
 size budgets (exit 4 above them):
+  reduce, compose, annihilate, and act, probe per monomial
+                       Adem terms scanned + new products formed <= {wd.ADEM_WORK_LIMIT:,}
   sbasis, e1           gamma factors x table cells <= {gamma.COUNT_WORK_LIMIT:,}
   sgens                generators listed <= {gamma.GENERATOR_LIMIT:,}
   m-index, nilpotency  staircase corner candidates x relations <= {artin.NORMAL_BOX_LIMIT:,}
@@ -411,10 +413,14 @@ def main(argv=None) -> int:
 def entry() -> int:
     """Run ``main()`` as a process: ``python -m deltacalc`` and the console script.
 
-    Freezing the heap before returning spares the interpreter's final cycle
-    collection a pass over every object the command made; finalization,
-    flushing and atexit handlers still run.
+    Cyclic collection is off while the command runs: the Adem memos hold
+    tuples of ints, which form no cycles, and a reduce of any size leaves
+    the same few hundred cyclic objects, argparse's parser.  Finalization
+    collects even with it off, and freezing the heap before returning
+    spares that pass over every object the command made; flushing and
+    atexit handlers still run.
     """
+    gc.disable()
     try:
         return main()
     finally:

@@ -468,15 +468,14 @@ def nilpotency_probe(kind: str, start: FreeGenerator, max_iter: int) -> ProbeRes
     return ProbeResult(kind, start, "nonvanishing", None, max_iter, trajectory)
 
 
-def gamma_axiom_suite(trials: int, seed: int = 0, pool=None) -> artin.AxiomReport:
+def gamma_axiom_suite(trials: int, seed: int = 0) -> artin.AxiomReport:
     """Fuzz the divided power axioms on random elements over GF(2), up to gamma_4.
 
-    Samples are sums of up to three monomials from ``pool`` (positive-degree
-    basis monomials); by default, the basis on one generator each of
-    degrees 1, 2, 3.  The scalar rule is checked for both scalars, 0 and 1.
+    Samples are sums of up to three positive-degree basis monomials on one
+    generator each of degrees 1, 2, 3, through degree 9.  The scalar rule
+    is checked for both scalars, 0 and 1.
     """
-    if pool is None:
-        pool = [m for m in s_basis([(1, 1), (2, 1), (3, 1)], 9).monomials if m]
+    pool = [m for m in s_basis([(1, 1), (2, 1), (3, 1)], 9).monomials if m]
 
     def sample(rng) -> artin.GammaOverR:
         out: artin.GammaOverR = {}

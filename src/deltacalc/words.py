@@ -28,6 +28,13 @@ each (i, j), whose coefficients are tested by Lucas's theorem (C(n, k) is
 odd iff k and n-k share no bit), and the products of one index and one
 admissible word that need rewriting.  Admissible products and products
 whose pair has no terms are formed inline and never enter the second memo.
+A memoised product is a tuple of its distinct words.  It is built in one
+set, where parity is kept by toggling: a word is added when absent and
+discarded when present, and a memoised product folds in by symmetric
+difference.  The sums between steps are sets too; only the results of
+``reduce`` and ``compose`` are frozen.  Each call of ``reduce``,
+``compose``, ``annihilation_order`` and ``adem_pair`` counts the work its
+memo misses do against ``ADEM_WORK_LIMIT``.
 
 The statistics of a word ``I = (i1, ..., is)`` are its degree
 ``d(I) = i1 + ... + is``, its length ``s``, and its excess
@@ -47,7 +54,8 @@ from functools import lru_cache
 from typing import Iterable
 
 from .errors import DomainError
-from .f2 import INDEX_LIMIT, binom_mod2, check_index
+from . import f2
+from .f2 import binom_mod2, check_index
 
 Word = tuple[int, ...]
 Element = frozenset  # frozenset[Word], GF(2) coefficients by membership
@@ -55,10 +63,28 @@ Element = frozenset  # frozenset[Word], GF(2) coefficients by membership
 ZERO: Element = frozenset()
 IDENTITY: Word = ()
 
-# Entries of each memo.  The product memo holds about 36 MB when full.  A
-# word of length 6 adds about 40 products to it with indices up to 32, and
-# 300 up to 64; the pair table grows about as fast.
+# Entries of each memo.  Full, the product memo and the 6,000 or so pairs
+# filled with it hold 22.4 MB traced.  A word of length 6 adds about 40
+# products to it with indices up to 32, and 300 up to 64; the pair table
+# grows about as fast.
 _LEFT_MUL_MEMO_SIZE = 1 << 16
+
+# Work budget of one reduce, compose, annihilation_order or adem_pair call:
+# the values of s that pair-table misses scan plus the products that
+# product-memo misses form.  Memo hits cost nothing, so only a cold call
+# spends the full amount.  About 0.6 s at the limit.  Cold, reduce
+# "d2 d3000000" spends 1,002,127, annihilation_order(131073, 1) 677,219,
+# and a 260-word sum of words of length 3-6 about 37,000.
+ADEM_WORK_LIMIT = 4_000_000
+_work = 0  # spent by the current call; each of the four resets it
+
+
+def _spend(n: int) -> None:
+    global _work
+    _work += n
+    if _work > ADEM_WORK_LIMIT:
+        raise DomainError(f"Adem rewriting needs more work than its budget of "
+                          f"{ADEM_WORK_LIMIT:,} scanned Adem terms and formed products")
 
 
 def check_word(word: Iterable[int]) -> Word:
@@ -96,6 +122,8 @@ def adem_pair(i: int, j: int) -> Element:
         raise DomainError(f"delta indices must be >= 2, got ({i}, {j})")
     if i >= 2 * j:
         raise DomainError(f"pair ({i}, {j}) is already admissible")
+    global _work
+    _work = 0
     return frozenset(_adem(i, j))
 
 
@@ -114,19 +142,23 @@ def _adem(i: int, j: int) -> tuple[tuple[int, int], ...]:
     if lo > hi:
         return ()
     check_index(j - i + lo - 1, "binomial argument")
-    check_index(min(j - i + hi - 1, INDEX_LIMIT), "binomial argument")
+    check_index(min(j - i + hi - 1, f2.INDEX_LIMIT), "binomial argument")
+    _spend(hi - lo + 1)
     return tuple((i + j - s, s) for s in range(lo, hi + 1) if not (j - s) & (2 * s - i - 1))
 
 
 @lru_cache(maxsize=_LEFT_MUL_MEMO_SIZE)
-def _left_mul(i: int, word: Word) -> Element:
+def _left_mul(i: int, word: Word) -> tuple[Word, ...]:
     """delta_i times an admissible ``(j, *t)`` with a nonzero Adem sum for (i, j).
 
-    Admissible and zero products are formed here and in ``_left_mul_sum``,
-    not looked up, so the memo holds only products that need rewriting.
+    The distinct words of the product, built in one set: a word is added
+    when absent and discarded when present.  Admissible and zero products
+    are formed here and in ``_left_mul_sum``, not looked up, so the memo
+    holds only products that need rewriting.
     """
     t = word[1:]
     out: set = set()
+    formed = 0
     for a, b in _adem(i, word[0]):
         if not t or b >= 2 * t[0]:
             tails = ((b,) + t,)
@@ -134,27 +166,39 @@ def _left_mul(i: int, word: Word) -> Element:
             tails = _left_mul(b, t)
         else:
             continue
+        formed += len(tails)
         for y in tails:
             if a >= 2 * y[0]:
-                out ^= {(a,) + y}
+                w = (a,) + y
+                if w in out:
+                    out.discard(w)
+                else:
+                    out.add(w)
             elif _adem(a, y[0]):
-                out ^= _left_mul(a, y)
-    return frozenset(out)
+                out.symmetric_difference_update(_left_mul(a, y))
+    _spend(formed)
+    return tuple(out)
 
 
-def _left_mul_sum(i: int, element: Iterable[Word]) -> Element:
-    """delta_i times a sum of admissible words."""
+def _left_mul_sum(i: int, element: Iterable[Word]) -> set:
+    """delta_i times a set of admissible words.
+
+    Each word of a rewritten product delta_i (j, *t) starts with an index
+    above i: its Adem terms (a, b) have a = i + j - s > i, and rewriting
+    delta_a y only raises the first index.  So the words ``(i, *w)`` are
+    new to the sum and need no parity test.
+    """
     out: set = set()
     for w in element:
         if not w or i >= 2 * w[0]:
-            out ^= {(i,) + w}
+            out.add((i,) + w)
         elif _adem(i, w[0]):
-            out ^= _left_mul(i, w)
-    return frozenset(out)
+            out.symmetric_difference_update(_left_mul(i, w))
+    return out
 
 
-def _normal_form(word: Word) -> Element:
-    acc: Element = frozenset({IDENTITY})
+def _normal_form(word: Word) -> set:
+    acc = {IDENTITY}
     for i in reversed(word):
         acc = _left_mul_sum(i, acc)
     return acc
@@ -166,18 +210,22 @@ def reduce(words: Iterable[Iterable[int]]) -> Element:
     Each word is reduced right to left by left multiplication onto
     admissible tails (see the module docstring); duplicates cancel mod 2.
     """
+    global _work
+    _work = 0
     out: set = set()
     for w in words:
-        out ^= _normal_form(check_word(w))
+        out.symmetric_difference_update(_normal_form(check_word(w)))
     return frozenset(out)
 
 
 def compose(a: Element, b: Element) -> Element:
     """Concatenate every pair of words and reduce; bilinear over GF(2)."""
+    global _work
+    _work = 0
     out: set = set()
     for u in a:
         for v in b:
-            out ^= _normal_form(check_word(tuple(u) + tuple(v)))
+            out.symmetric_difference_update(_normal_form(check_word(tuple(u) + tuple(v))))
     return frozenset(out)
 
 
@@ -204,7 +252,9 @@ def annihilation_order(j: int, t: int, s_max: int = 16) -> int | None:
         raise DomainError(f"annihilation search bound must be >= 0, got {s_max}")
     # theta(s, t) = (2^(s+t),) + theta(s-1, t): each step multiplies the last on the left
     # by theta's first index, which theta has checked (t >= 0, index below 2^32)
-    acc: Element = frozenset({(j,)})
+    global _work
+    _work = 0
+    acc = {(j,)}
     for s in range(1, s_max + 1):
         acc = _left_mul_sum(theta(s, t)[0], acc)
         if not acc:

@@ -1,5 +1,7 @@
+import gc
 import io
 import json
+import random
 import re
 from collections import Counter
 from math import comb
@@ -168,6 +170,10 @@ def test_exit_codes(monkeypatch):
               json.dumps([{"coef": " + ".join(["t"] * 501), "gen": "x"}])], "budget"),
             # k alone is over the divided-power budget, counted before any product
             (["act", "--i", "2", "--on", "g300001(x3)"], "budget"),
+            # Adem rewriting: the search's products pass the budget in about 0.6 s,
+            # and the pair's 4,333,333 values of s are refused before any is scanned
+            (["annihilate", "--j", "30000", "--t", "0"], "budget"),
+            (["reduce", "d2 d13000000"], "budget"),
             # alpha_a is defined for 0 <= a <= m - 2 only
             (["probe", "--kind", "alpha:-1", "--gen", "x4", "--max-iter", "3"], "K >= 0")):
         code, out, err = run_cli(argv)
@@ -224,10 +230,10 @@ def test_exit_codes(monkeypatch):
 
 
 def test_every_budget_is_stated_in_help():
-    # each *_LIMIT constant of artin and gamma ends its own "<= value" line
-    limits = [getattr(mod, name) for mod in (cli.artin, cli.gamma)
+    # each *_LIMIT constant of artin, gamma and words ends its own "<= value" line
+    limits = [getattr(mod, name) for mod in (cli.artin, cli.gamma, cli.wd)
               for name in vars(mod) if name.endswith("_LIMIT")]
-    assert len(limits) >= 5
+    assert len(limits) >= 6
     stated = Counter(re.findall(r"<= ([0-9,]+)$", cli._EPILOG, re.M))
     needed = Counter(f"{limit:,}" for limit in limits)
     assert all(stated[value] >= count for value, count in needed.items()), (needed, stated)
@@ -311,20 +317,44 @@ def test_module_entry_point(monkeypatch):
     assert run_cli(["reduce", big])[1].count(" + ") == 299
     # both entry points freeze the heap on the way out; main itself does not
     probe = ("import atexit, gc, runpy, sys; "
-             "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0)); "
+             "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, "
+             "'collecting', gc.isenabled())); "
              "sys.argv = ['deltacalc', 'reduce', 'd5 d4']; "
              "runpy.run_module('deltacalc', run_name='__main__')")
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
-    assert (result.returncode, result.stdout) == (0, "d6 d3\nfrozen True\n"), result.stderr
+    assert (result.returncode, result.stdout) == (
+        0, "d6 d3\nfrozen True collecting False\n"), result.stderr
     assert 'deltacalc = "deltacalc.cli:entry"' in (DOCS.parent / "pyproject.toml").read_text()
-    frozen = []
-    monkeypatch.setattr(cli.gc, "freeze", lambda: frozen.append(True))
+    calls = []
+    monkeypatch.setattr(cli.gc, "disable", lambda: calls.append("disable"))
+    monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
     run_cli(["reduce", "d5 d4"])
-    assert frozen == []
+    assert calls == []
     monkeypatch.setattr(sys, "argv", ["deltacalc", "reduce", "d5 d4"])
     with redirect_stdout(io.StringIO()) as out:
         assert cli.entry() == 0
-    assert out.getvalue() == "d6 d3\n" and frozen == [True]
+    assert out.getvalue() == "d6 d3\n" and calls == ["disable", "freeze"]
+
+
+def test_cyclic_garbage_does_not_grow_with_the_input():
+    # entry() runs a command with cyclic collection off.  What one command leaves
+    # for the collector is argparse's parser, whatever the size of the sum.
+    rng = random.Random(260)
+    big = " + ".join(" ".join(f"d{rng.randint(2, 32)}" for _ in range(rng.randint(3, 6)))
+                     for _ in range(260))
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        left = []
+        for argv in (["reduce", "d5"], ["reduce", big], ["reduce", "d5"]):
+            code, out, _ = run_cli(argv)
+            assert code == 0 and out, argv
+            left.append(gc.collect())
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert left[1] <= left[0] == left[2], left
 
 
 def test_axioms_output_independent_of_thread_setting(monkeypatch):
