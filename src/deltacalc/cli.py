@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import re
 import sys
 
@@ -19,6 +20,7 @@ EXIT_USAGE = 2
 EXIT_SYNTAX = 3
 EXIT_DOMAIN = 4
 EXIT_RANGE = 5
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by it
 
 _EPILOG = f"""\
 exit codes:
@@ -28,6 +30,7 @@ exit codes:
   3  expression or JSON syntax error
   4  domain/precondition violation, or a request over its size budget
   5  integer range overflow (indices must stay below 2^32)
+  141  stdout closed by its reader before all the output was written
 
 size budgets (exit 4 above them):
   reduce, compose, annihilate, and act, probe per monomial
@@ -160,7 +163,7 @@ def _cmd_alpha2delta(args):
         indices = tuple(int(a) for a in raw.split(",")) if raw else ()
     except ValueError as err:
         raise DomainError(f"alpha indices must be comma-separated integers: {raw!r}") from err
-    word = wd.alpha_to_delta(wd.AlphaWord(indices, args.degree))
+    word = wd.alpha_to_delta(indices, args.degree)
     text = exprs.format_word(word)
     return {"word": text}, text
 
@@ -388,18 +391,11 @@ def main(argv=None) -> int:
         payload, text = args.handler(args)
         if args.format == "text" and callable(text):
             text = text()
-    except exprs.ParseError as err:
+    except ValueError as err:  # ParseError, RangeError and DomainError among them
         print(f"deltacalc: {err}", file=sys.stderr)
-        return EXIT_SYNTAX
-    except RangeError as err:
-        print(f"deltacalc: {err}", file=sys.stderr)
-        return EXIT_RANGE
-    except DomainError as err:
-        print(f"deltacalc: {err}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except ValueError as err:
-        print(f"deltacalc: {err}", file=sys.stderr)
-        return EXIT_DOMAIN
+        if isinstance(err, exprs.ParseError):
+            return EXIT_SYNTAX
+        return EXIT_RANGE if isinstance(err, RangeError) else EXIT_DOMAIN
     except Exception as err:  # inputs are checked above, so this is a fault in deltacalc
         print(f"deltacalc: internal error: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_INTERNAL
@@ -418,10 +414,18 @@ def entry() -> int:
     the same few hundred cyclic objects, argparse's parser.  Finalization
     collects even with it off, and freezing the heap before returning
     spares that pass over every object the command made; flushing and
-    atexit handlers still run.
+    atexit handlers still run.  If the reader closes stdout before the
+    output is written, the command ends with exit code 141 and no traceback.
     """
     gc.disable()
     try:
-        return main()
+        code = main()
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone: send what is still buffered to devnull, so that
+        # the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     finally:
         gc.freeze()

@@ -34,7 +34,7 @@ from __future__ import annotations
 from . import artin
 from . import words as wd
 from .errors import DomainError
-from .f2 import GradedDims
+from .f2 import GradedDims, check_index
 
 Monomial = frozenset  # frozenset[tuple[FreeGenerator, int]]
 Element = frozenset  # frozenset[Monomial]
@@ -183,6 +183,7 @@ def delta_act(i: int, elem: Element) -> Element:
     """
     if i < 2:
         raise DomainError(f"delta index {i} below 2")
+    check_index(i, "delta index")
     out: set = set()
     for mon in elem:
         out ^= _delta_act_monomial(i, mon)

@@ -24,17 +24,14 @@ order of Adem rewriting reaches this one normal form; the recursion ends
 because each product is on a shorter tail or a word of lower moment
 (the sum of position times index, positions counted from 1).
 Two memos of fixed size hold the work: a pair table of the Adem terms of
-each (i, j), whose coefficients are tested by Lucas's theorem (C(n, k) is
-odd iff k and n-k share no bit), and the products of one index and one
-admissible word that need rewriting.  Admissible products and products
-whose pair has no terms are formed inline and never enter the second memo.
-A memoised product is a tuple of its distinct words.  It is built in one
-set, where parity is kept by toggling: a word is added when absent and
-discarded when present, and a memoised product folds in by symmetric
-difference.  The sums between steps are sets too; only the results of
-``reduce`` and ``compose`` are frozen.  Each call of ``reduce``,
-``compose``, ``annihilation_order`` and ``adem_pair`` counts the work its
-memo misses do against ``ADEM_WORK_LIMIT``.
+each (i, j) by descending a, each coefficient tested by Lucas's theorem
+(C(n, k) is odd iff k and n-k share no bit), and the products of one index
+and one admissible word that need rewriting, each a tuple of its distinct
+words.  One step, ``_times``, adds delta_i times each word of a set to a
+set: admissible products directly, since that order keeps them new to it,
+and the rest from the product memo by symmetric difference.  Each call of
+``reduce``, ``compose``, ``annihilation_order`` and ``adem_pair`` counts
+the work its memo misses do against ``ADEM_WORK_LIMIT``.
 
 The statistics of a word ``I = (i1, ..., is)`` are its degree
 ``d(I) = i1 + ... + is``, its length ``s``, and its excess
@@ -44,7 +41,7 @@ exactly when its excess exceeds n.
 
 The alpha form reindexes operations by the degree acted on: alpha_a on a
 degree-m class is delta_{m-a} and lands in degree 2m-a.  An alpha word
-therefore carries an explicit source degree and converts to a delta word
+therefore converts to a delta word only on an explicit source degree,
 factor by factor, rightmost first, updating the running degree.
 """
 
@@ -151,10 +148,10 @@ def _adem(i: int, j: int) -> tuple[tuple[int, int], ...]:
 def _left_mul(i: int, word: Word) -> tuple[Word, ...]:
     """delta_i times an admissible ``(j, *t)`` with a nonzero Adem sum for (i, j).
 
-    The distinct words of the product, built in one set: a word is added
-    when absent and discarded when present.  Admissible and zero products
-    are formed here and in ``_left_mul_sum``, not looked up, so the memo
-    holds only products that need rewriting.
+    The distinct words of the product: for each Adem term (a, b), delta_a
+    times each word of delta_b times ``t``.  ``_times`` forms admissible
+    and zero products without looking them up, so the memo holds only
+    products that need rewriting.
     """
     t = word[1:]
     out: set = set()
@@ -167,29 +164,23 @@ def _left_mul(i: int, word: Word) -> tuple[Word, ...]:
         else:
             continue
         formed += len(tails)
-        for y in tails:
-            if a >= 2 * y[0]:
-                w = (a,) + y
-                if w in out:
-                    out.discard(w)
-                else:
-                    out.add(w)
-            elif _adem(a, y[0]):
-                out.symmetric_difference_update(_left_mul(a, y))
+        _times(a, tails, out)
     _spend(formed)
     return tuple(out)
 
 
-def _left_mul_sum(i: int, element: Iterable[Word]) -> set:
-    """delta_i times a set of admissible words.
+def _times(i: int, words: Iterable[Word], out: set) -> set:
+    """Add delta_i times each admissible word of ``words`` to ``out``; return it.
 
-    Each word of a rewritten product delta_i (j, *t) starts with an index
-    above i: its Adem terms (a, b) have a = i + j - s > i, and rewriting
-    delta_a y only raises the first index.  So the words ``(i, *w)`` are
-    new to the sum and need no parity test.
+    Admissible products are added, products whose pair has no Adem terms
+    skipped, and the rest folded in from ``_left_mul`` by symmetric
+    difference.  Plain ``add`` is right because the words are distinct and
+    ``(i, *w)`` is new to ``out``: a rewritten product delta_i (j, *t) starts
+    above i (its Adem terms have a = i + j - s > i), a step starts from an
+    empty set, and ``_left_mul`` adds its terms by descending a, as ``_adem``
+    lists them.
     """
-    out: set = set()
-    for w in element:
+    for w in words:
         if not w or i >= 2 * w[0]:
             out.add((i,) + w)
         elif _adem(i, w[0]):
@@ -197,11 +188,17 @@ def _left_mul_sum(i: int, element: Iterable[Word]) -> set:
     return out
 
 
-def _normal_form(word: Word) -> set:
-    acc = {IDENTITY}
-    for i in reversed(word):
-        acc = _left_mul_sum(i, acc)
-    return acc
+def _normal_sum(words: Iterable[Iterable[int]]) -> Element:
+    """The normal form of a sum of words, each checked and stepped right to left."""
+    global _work
+    _work = 0
+    out: set = set()
+    for w in words:
+        acc = {IDENTITY}
+        for i in reversed(check_word(w)):
+            acc = _times(i, acc, set())
+        out.symmetric_difference_update(acc)
+    return frozenset(out)
 
 
 def reduce(words: Iterable[Iterable[int]]) -> Element:
@@ -210,23 +207,12 @@ def reduce(words: Iterable[Iterable[int]]) -> Element:
     Each word is reduced right to left by left multiplication onto
     admissible tails (see the module docstring); duplicates cancel mod 2.
     """
-    global _work
-    _work = 0
-    out: set = set()
-    for w in words:
-        out.symmetric_difference_update(_normal_form(check_word(w)))
-    return frozenset(out)
+    return _normal_sum(words)
 
 
 def compose(a: Element, b: Element) -> Element:
     """Concatenate every pair of words and reduce; bilinear over GF(2)."""
-    global _work
-    _work = 0
-    out: set = set()
-    for u in a:
-        for v in b:
-            out.symmetric_difference_update(_normal_form(check_word(tuple(u) + tuple(v))))
-    return frozenset(out)
+    return _normal_sum(tuple(u) + tuple(v) for u in a for v in b)
 
 
 def theta(s: int, t: int) -> Word:
@@ -246,7 +232,8 @@ def annihilation_order(j: int, t: int, s_max: int = 16) -> int | None:
     """
     if j < 2:
         raise DomainError(f"delta index {j} below 2")
-    if j <= 2**t:
+    check_index(j, "delta index")
+    if (j - 1).bit_length() <= t:  # j <= 2^t, without forming 2^t
         raise DomainError(f"annihilation search needs j > 2^t, got j={j}, t={t}")
     if s_max < 0:
         raise DomainError(f"annihilation search bound must be >= 0, got {s_max}")
@@ -256,53 +243,40 @@ def annihilation_order(j: int, t: int, s_max: int = 16) -> int | None:
     _work = 0
     acc = {(j,)}
     for s in range(1, s_max + 1):
-        acc = _left_mul_sum(theta(s, t)[0], acc)
+        acc = _times(theta(s, t)[0], acc, set())
         if not acc:
             return s
     return None
 
 
-class AlphaWord:
-    """A composite of alpha operations together with the degree it acts on.
+def alpha_to_delta(indices: Iterable[int], source_degree: int) -> Word:
+    """The delta word an alpha word denotes on the source degree; no reduction applied.
 
     ``indices[k]`` is applied (k+1)-th from the right; at each stage the
     factor alpha_a requires 0 <= a <= m-2 where m is the running degree,
-    and the degree updates to 2m - a.
+    becomes delta_{m-a}, and the degree updates to 2m - a.
     """
-
-    __slots__ = ("indices", "source_degree")
-
-    def __init__(self, indices: Iterable[int], source_degree: int):
-        self.indices = tuple(int(a) for a in indices)
-        self.source_degree = source_degree
-        if source_degree < 2:
-            raise DomainError(f"alpha words act on degrees >= 2, got {source_degree}")
-        m = source_degree
-        for pos, a in enumerate(reversed(self.indices), start=1):
-            if not 0 <= a <= m - 2:
-                raise DomainError(
-                    f"alpha_{a} (factor {pos} from the right) is undefined on degree {m}"
-                )
-            m = 2 * m - a
-
-
-def alpha_stages_valid(indices: Iterable[int], source_degree: int) -> bool:
-    """Whether the alpha word passes AlphaWord's stage check on the degree."""
-    try:
-        AlphaWord(tuple(indices), source_degree)
-    except DomainError:
-        return False
-    return True
-
-
-def alpha_to_delta(word: AlphaWord) -> Word:
-    """Convert an alpha word to the delta word it denotes; no reduction applied."""
-    m = word.source_degree
+    if source_degree < 2:
+        raise DomainError(f"alpha words act on degrees >= 2, got {source_degree}")
+    m = source_degree
     out = []
-    for a in reversed(word.indices):
+    for pos, a in enumerate(reversed(tuple(indices)), start=1):
+        if not 0 <= a <= m - 2:
+            raise DomainError(
+                f"alpha_{a} (factor {pos} from the right) is undefined on degree {m}"
+            )
         out.append(m - a)
         m = 2 * m - a
     return tuple(reversed(out))
+
+
+def alpha_stages_valid(indices: Iterable[int], source_degree: int) -> bool:
+    """Whether every stage of the alpha word is defined on the degree."""
+    try:
+        alpha_to_delta(indices, source_degree)
+    except DomainError:
+        return False
+    return True
 
 
 def unstable_part(element: Element, n: int) -> Element:
@@ -321,7 +295,7 @@ def alpha_adem_check(i: int, j: int, n: int) -> bool:
     """
     if j >= i:
         raise DomainError(f"alpha Adem relation needs j < i, got ({i}, {j})")
-    lhs = unstable_part(reduce([alpha_to_delta(AlphaWord((i, j), n))]), n)
+    lhs = unstable_part(reduce([alpha_to_delta((i, j), n)]), n)
     rhs: set = set()
     lo = -(-(i + 2 * j) // 3)
     hi = (i + j - 1) // 2
@@ -331,5 +305,5 @@ def alpha_adem_check(i: int, j: int, n: int) -> bool:
         term = (i + 2 * j - 2 * s, s)
         if not alpha_stages_valid(term, n):
             continue
-        rhs ^= unstable_part(reduce([alpha_to_delta(AlphaWord(term, n))]), n)
+        rhs ^= unstable_part(reduce([alpha_to_delta(term, n)]), n)
     return lhs == frozenset(rhs)

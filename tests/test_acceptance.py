@@ -44,7 +44,7 @@ def test_criterion_02_annihilation_orders():
 def test_criterion_03_alpha_theta_identity():
     for n in range(2, 11):
         for s in range(7):
-            converted = wd.alpha_to_delta(wd.AlphaWord((n - 2,) * s, n))
+            converted = wd.alpha_to_delta((n - 2,) * s, n)
             assert converted == wd.theta(s, 0), (n, s)
     passed(3, "iterated alpha_{n-2} on degree n converts to theta(s,0), n <= 10, s <= 6")
 

@@ -1,6 +1,9 @@
 """Smoke tests of the CLI benchmark harness: a short quick run and its result shape,
-and the tracer finding every layer function it wraps."""
+the tracer finding every layer function it wraps, and stdout matching the
+recorded digests."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -39,3 +42,24 @@ def test_tracer_wraps_every_layer(tmp_path):
             cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, (argv, run.stderr)
         assert json.loads(spans.read_text())["missing"] == [], argv
+
+
+def test_stdout_matches_recorded_digests(monkeypatch):
+    # the first commands of the adem and quick streams at the recorded seed, run
+    # in-process; perfbench/ is read, not written
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import record_digests
+    import workloads
+    from deltacalc import cli
+
+    table = json.loads(record_digests.DIGESTS.read_text())
+    for name, count in (("adem", 40), ("quick", 36)):
+        for i in range(count):
+            cmd = workloads.command(name, table["seed"], i)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(cmd.argv)
+            assert code == cmd.expect, (name, i, cmd.argv)
+            assert record_digests.digest(out.getvalue()) == table["workloads"][name][i], (
+                name, i, cmd.argv)

@@ -1,6 +1,7 @@
 import gc
 import io
 import json
+import os
 import random
 import re
 from collections import Counter
@@ -213,6 +214,14 @@ def test_exit_codes(monkeypatch):
         5, "", "deltacalc: theta index 4294967296 exceeds 2^32\n")
     assert run_cli(["reduce", "d3221225472 d1073741824"]) == (
         0, "d3221225472 d1073741824\n", "")
+    # delta indices are range-checked where they enter the search and the action
+    assert run_cli(["annihilate", "--j", "5000000000", "--t", "1"]) == (
+        5, "", "deltacalc: delta index 5000000000 exceeds 2^32\n")
+    assert run_cli(["act", "--i", "4294967296", "--on", "x3"]) == (
+        5, "", "deltacalc: delta index 4294967296 exceeds 2^32\n")
+    # and 2^t is compared by bit length, not formed
+    assert run_cli(["annihilate", "--j", "5", "--t", "1000000000000"]) == (
+        4, "", "deltacalc: annihilation search needs j > 2^t, got j=5, t=1000000000000\n")
     for argv in (["m-index", "--ring", '["t"]'],
                  ["m-index", "--ring", '{"vars":["t"],"relations":["t^3"],"x":1}'],
                  ["m-index", "--ring", '{"vars":[3],"relations":["t^3"]}'],
@@ -334,6 +343,18 @@ def test_module_entry_point(monkeypatch):
     with redirect_stdout(io.StringIO()) as out:
         assert cli.entry() == 0
     assert out.getvalue() == "d6 d3\n" and calls == ["disable", "freeze"]
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # 177 KB of generators, more than the pipe holds: the writer meets the closed end
+    env = dict(os.environ, PYTHONPATH=str(DOCS.parent / "src"))
+    with subprocess.Popen(
+            [sys.executable, "-m", "deltacalc", "sgens", "--n", "20", "--max-degree", "120"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline().startswith(b"x20")
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 141
+        assert proc.stderr.read() == b""
 
 
 def test_cyclic_garbage_does_not_grow_with_the_input():

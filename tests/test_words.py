@@ -56,6 +56,10 @@ def test_adem_pair_matches_direct_sum_and_is_admissible():
         for j in range(-(-(i + 1) // 2), 200):  # every j with i < 2j
             result = wd.adem_pair(i, j)
             assert result == adem_by_direct_sum(i, j), (i, j)
+            # _times adds admissible products without a parity test, which
+            # needs the terms listed by strictly descending first index
+            firsts = [a for a, _ in wd._adem(i, j)]
+            assert all(x > y for x, y in zip(firsts, firsts[1:])), (i, j)
             for word in result:
                 assert wd.is_admissible(word)
                 assert wd.degree(word) == i + j
@@ -296,27 +300,28 @@ def test_annihilation_existence_desk_scale():
 
 def test_alpha_word_validation():
     with pytest.raises(DomainError):
-        wd.AlphaWord((1,), 2)  # alpha_1 needs degree >= 3
+        wd.alpha_to_delta((1,), 2)  # alpha_1 needs degree >= 3
     with pytest.raises(DomainError):
-        wd.AlphaWord((), 1)
+        wd.alpha_to_delta((), 1)
     err = None
     try:
-        wd.AlphaWord((5, 0), 3)  # second stage has degree 6, alpha_5 needs >= 7
+        wd.alpha_to_delta((5, 0), 3)  # second stage has degree 6, alpha_5 needs >= 7
     except DomainError as e:
         err = str(e)
     assert err is not None and "alpha_5" in err and "degree 6" in err
+    assert not wd.alpha_stages_valid((5, 0), 3) and wd.alpha_stages_valid((4, 0), 3)
 
 
 def test_alpha_to_delta_examples():
     for n in range(2, 8):
-        assert wd.alpha_to_delta(wd.AlphaWord((0,), n)) == (n,)
+        assert wd.alpha_to_delta((0,), n) == (n,)
     # the Andre operation on degree m is delta_{m-1}
     for m in range(3, 8):
-        assert wd.alpha_to_delta(wd.AlphaWord((1,), m)) == (m - 1,)
+        assert wd.alpha_to_delta((1,), m) == (m - 1,)
     # iterating alpha_{n-2} produces the doubling composite
     for n in range(2, 11):
         for s in range(7):
-            assert wd.alpha_to_delta(wd.AlphaWord((n - 2,) * s, n)) == wd.theta(s, 0)
+            assert wd.alpha_to_delta((n - 2,) * s, n) == wd.theta(s, 0)
 
 
 def test_alpha_adem_check_explicit_case():
