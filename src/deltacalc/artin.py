@@ -58,6 +58,11 @@ ELEMENT_WORK_LIMIT = 500
 # over GF(2)[t]/(t^1000000) costs 251,002.
 EXPANSION_WORK_LIMIT = 300_000
 
+# Most trials of one axiom suite.  A trial of the two suites the CLI runs
+# takes about 0.4 ms on one core of a 2-vCPU machine, so the limit is about
+# 4-5 s.
+AXIOM_TRIAL_LIMIT = 10_000
+
 
 class ArtinRing:
     """GF(2)[variables] modulo monomial relations; a value, equal and hashing by its fields."""
@@ -463,6 +468,8 @@ def axiom_suite(ring: ArtinRing, sample, scalars, max_k: int, trials: int,
     """
     if trials < 0:
         raise DomainError(f"trial count must be >= 0, got {trials}")
+    if trials > AXIOM_TRIAL_LIMIT:
+        raise DomainError(f"{trials} trials are over the budget of {AXIOM_TRIAL_LIMIT:,}")
     rng = random.Random(seed)
     checked = {a: 0 for a in AXIOM_NAMES}
     failures = {a: 0 for a in AXIOM_NAMES}

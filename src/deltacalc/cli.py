@@ -29,7 +29,8 @@ exit codes:
   2  unknown subcommand or bad usage
   3  expression or JSON syntax error
   4  domain/precondition violation, or a request over its size budget
-  5  integer range overflow (indices must stay below 2^32)
+  5  integer range overflow: every delta index, parsed, passed as an option,
+     or formed by rewriting, theta or alpha conversion, stays below 2^32
   141  stdout closed by its reader before all the output was written
 
 size budgets (exit 4 above them):
@@ -37,9 +38,11 @@ size budgets (exit 4 above them):
                        Adem terms scanned + new products formed <= {wd.ADEM_WORK_LIMIT:,}
   sbasis, e1           gamma factors x table cells <= {gamma.COUNT_WORK_LIMIT:,}
   sgens                generators listed <= {gamma.GENERATOR_LIMIT:,}
+  e1 text output       table rows <= {e1.TEXT_ROW_LIMIT:,}
   m-index, nilpotency  staircase corner candidates x relations <= {artin.NORMAL_BOX_LIMIT:,}
   nilpotency --element coefficient monomials x relations <= {artin.ELEMENT_WORK_LIMIT:,}
   act, --oracle        gamma_k: k + |a| x |b| x relations per ring product a*b <= {artin.EXPANSION_WORK_LIMIT:,}
+  axioms               trials <= {artin.AXIOM_TRIAL_LIMIT:,}
 
 JSON outputs follow the schemas shipped in docs/.
 """

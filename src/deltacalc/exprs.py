@@ -114,29 +114,37 @@ def _delta_index(tok, text: str) -> int:
     if len(digits) > 10:  # at least 10^10 > 2^32; named without converting it
         raise RangeError(f"delta index {digits[:12]}{'...' if len(digits) > 12 else ''} "
                          f"of {len(digits)} digits exceeds 2^32")
-    i = int(digits)
-    if i < 2:
-        raise ParseError(f"delta index {i} below 2", text, tok[2])
-    return i
+    try:
+        return wd.check_delta(int(digits))
+    except DomainError as err:  # below 2: a syntax error at the token
+        raise ParseError(str(err), text, tok[2]) from None
+
+
+def _read_word(toks: _Tokens, text: str, required: bool = True) -> wd.Word:
+    """The delta word at the cursor: 'e', or the run of 'd<int>' tokens there.
+
+    A cursor at neither is a syntax error when the word is ``required``, and
+    the empty run otherwise.
+    """
+    tok = toks.peek()
+    if tok and tok[0] == "IDENT":
+        toks.next()
+        return ()
+    word = []
+    while tok and tok[0] == "DELTA":
+        word.append(_delta_index(toks.next(), text))
+        tok = toks.peek()
+    if required and not word:
+        toks.next("DELTA", ("d<int>", "e"))  # raises: the cursor holds no word
+    return tuple(word)
 
 
 def parse_word(text: str) -> wd.Word:
     """A single delta word: 'e' or 'd4 d2'."""
     toks = _Tokens(text, _DELTA_SPEC)
-    tok = toks.peek()
-    if tok is None:
-        raise ParseError("empty input", text, 0, ("word",))
-    if tok[0] == "IDENT":
-        toks.next()
-        toks.done()
-        return ()
-    indices = []
-    while toks.peek() and toks.peek()[0] == "DELTA":
-        indices.append(_delta_index(toks.next(), text))
+    word = _read_word(toks, text)
     toks.done()
-    if not indices:
-        raise ParseError("expected a delta word", text, tok[2], ("d<int>", "e"))
-    return tuple(indices)
+    return word
 
 
 def parse_delta(text: str) -> wd.Element:
@@ -147,30 +155,15 @@ def parse_delta(text: str) -> wd.Element:
         toks.next()
         toks.done()
         return frozenset()
-    out: set = set()
-    while True:
-        word: list[int] = []
-        first = toks.peek()
-        if first is None:
-            raise ParseError("expected a delta word", text, len(text), ("d<int>", "e"))
-        if first[0] == "IDENT":
-            toks.next()
-        else:
-            while toks.peek() and toks.peek()[0] == "DELTA":
-                word.append(_delta_index(toks.next(), text))
-            if not word:
-                raise ParseError(f"unexpected token {first[1]!r}", text, first[2], ("d<int>", "e"))
-        out ^= {tuple(word)}
-        if toks.peek() is None:
-            break
+    out = {_read_word(toks, text)}
+    while toks.peek() is not None:
         toks.next("PLUS", ("+",))
+        out ^= {_read_word(toks, text)}
     return frozenset(out)
 
 
 def _parse_atom(toks: _Tokens, text: str) -> tuple[wd.Word, int, int]:
-    word = []
-    while toks.peek() and toks.peek()[0] == "DELTA":
-        word.append(_delta_index(toks.next(), text))
+    word = _read_word(toks, text, required=False)
     tok = toks.next("GEN", ("x<int>",))
     n, _, idx = tok[1][1:].partition(":")
     n = parse_int(n, "generator degree", text, tok[2])
@@ -179,7 +172,7 @@ def _parse_atom(toks: _Tokens, text: str) -> tuple[wd.Word, int, int]:
         raise ParseError(f"generator degree {n} below 1", text, tok[2])
     if idx < 1:
         raise ParseError(f"generator index {idx} below 1", text, tok[2])
-    return tuple(word), n, idx
+    return word, n, idx
 
 
 def _eval_atom(word: wd.Word, n: int, idx: int) -> gamma.Element:

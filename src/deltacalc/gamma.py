@@ -34,7 +34,7 @@ from __future__ import annotations
 from . import artin
 from . import words as wd
 from .errors import DomainError
-from .f2 import GradedDims, check_index
+from .f2 import GradedDims
 
 Monomial = frozenset  # frozenset[tuple[FreeGenerator, int]]
 Element = frozenset  # frozenset[Monomial]
@@ -181,9 +181,7 @@ def delta_act(i: int, elem: Element) -> Element:
     of the term acts as zero, and the index equal to the degree is the
     divided square.
     """
-    if i < 2:
-        raise DomainError(f"delta index {i} below 2")
-    check_index(i, "delta index")
+    wd.check_delta(i)
     out: set = set()
     for mon in elem:
         out ^= _delta_act_monomial(i, mon)

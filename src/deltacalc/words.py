@@ -13,6 +13,8 @@ inadmissible adjacent pair (``i < 2j``) rewrites by the Adem rule
 where an empty summation range means zero; every emitted pair is
 admissible since ``s <= (i+j)/3``.  Elements are frozensets of words:
 membership is a mod-2 coefficient and addition is symmetric difference.
+Every delta index, whether read, passed in, or formed by rewriting, theta
+or alpha conversion, goes through ``check_delta``: at least 2, below 2^32.
 
 A word reduces right to left, multiplying a sum of admissible words on
 the left by one index at a time.  delta_i times an admissible ``(j, *t)``
@@ -50,9 +52,9 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable
 
-from .errors import DomainError
+from .errors import DomainError, RangeError
 from . import f2
-from .f2 import binom_mod2, check_index
+from .f2 import check_index
 
 Word = tuple[int, ...]
 Element = frozenset  # frozenset[Word], GF(2) coefficients by membership
@@ -84,14 +86,16 @@ def _spend(n: int) -> None:
                           f"{ADEM_WORK_LIMIT:,} scanned Adem terms and formed products")
 
 
+def check_delta(i: int) -> int:
+    """The one rule for a delta index, parsed or formed: at least 2, below 2^32."""
+    if i < 2:
+        raise DomainError(f"delta index {i} below 2")
+    return check_index(i, "delta index")
+
+
 def check_word(word: Iterable[int]) -> Word:
-    """Validate and normalize a word: integer indices, each >= 2, below 2^32."""
-    w = tuple(int(i) for i in word)
-    for i in w:
-        if i < 2:
-            raise DomainError(f"delta index {i} below 2 in word {w}")
-        check_index(i, "delta index")
-    return w
+    """Validate and normalize a word: integer indices, each a delta index."""
+    return tuple(check_delta(int(i)) for i in word)
 
 
 def is_admissible(word: Word) -> bool:
@@ -115,8 +119,8 @@ def adem_pair(i: int, j: int) -> Element:
 
     Returns the GF(2) sum of admissible pairs; the empty element is zero.
     """
-    if i < 2 or j < 2:
-        raise DomainError(f"delta indices must be >= 2, got ({i}, {j})")
+    check_delta(i)
+    check_delta(j)
     if i >= 2 * j:
         raise DomainError(f"pair ({i}, {j}) is already admissible")
     global _work
@@ -132,7 +136,8 @@ def _adem(i: int, j: int) -> tuple[tuple[int, int], ...]:
     share no bit.  The binomial arguments must stay below 2^32.  Since
     2s-i-1 >= 0 on the range, j-s never exceeds j-i+s-1, which rises by one
     with s: it is checked at the low end, and if it passes the limit by the
-    high end, it first does so at exactly 2^32.
+    high end, it first does so at exactly 2^32.  The first term has the
+    largest index a = i + j - s, so it alone is checked as a delta index.
     """
     lo = -(-(i + 1) // 2)
     hi = (i + j) // 3
@@ -141,7 +146,10 @@ def _adem(i: int, j: int) -> tuple[tuple[int, int], ...]:
     check_index(j - i + lo - 1, "binomial argument")
     check_index(min(j - i + hi - 1, f2.INDEX_LIMIT), "binomial argument")
     _spend(hi - lo + 1)
-    return tuple((i + j - s, s) for s in range(lo, hi + 1) if not (j - s) & (2 * s - i - 1))
+    terms = tuple((i + j - s, s) for s in range(lo, hi + 1) if not (j - s) & (2 * s - i - 1))
+    if terms:
+        check_delta(terms[0][0])
+    return terms
 
 
 @lru_cache(maxsize=_LEFT_MUL_MEMO_SIZE)
@@ -219,8 +227,9 @@ def theta(s: int, t: int) -> Word:
     """The length-s composite (2^(s+t), 2^(s+t-1), ..., 2^(t+1))."""
     if s < 0 or t < 0:
         raise DomainError("theta takes nonnegative arguments")
-    if s:
-        check_index(2 ** (s + t), "theta index")
+    if s and s + t >= 32:  # compared first, so that no power above 2^32 is formed
+        top = f2.INDEX_LIMIT if s + t == 32 else f"2^{s + t}"
+        raise RangeError(f"theta index {top} exceeds 2^32")
     return tuple(2 ** (s + t - k) for k in range(s))
 
 
@@ -230,9 +239,7 @@ def annihilation_order(j: int, t: int, s_max: int = 16) -> int | None:
     Requires j > 2^t; existence of a finite order is guaranteed under that
     hypothesis, so None signals that s_max was too small.
     """
-    if j < 2:
-        raise DomainError(f"delta index {j} below 2")
-    check_index(j, "delta index")
+    check_delta(j)
     if (j - 1).bit_length() <= t:  # j <= 2^t, without forming 2^t
         raise DomainError(f"annihilation search needs j > 2^t, got j={j}, t={t}")
     if s_max < 0:
@@ -254,7 +261,8 @@ def alpha_to_delta(indices: Iterable[int], source_degree: int) -> Word:
 
     ``indices[k]`` is applied (k+1)-th from the right; at each stage the
     factor alpha_a requires 0 <= a <= m-2 where m is the running degree,
-    becomes delta_{m-a}, and the degree updates to 2m - a.
+    becomes delta_{m-a}, a checked delta index, and the degree updates to
+    2m - a.
     """
     if source_degree < 2:
         raise DomainError(f"alpha words act on degrees >= 2, got {source_degree}")
@@ -265,45 +273,6 @@ def alpha_to_delta(indices: Iterable[int], source_degree: int) -> Word:
             raise DomainError(
                 f"alpha_{a} (factor {pos} from the right) is undefined on degree {m}"
             )
-        out.append(m - a)
+        out.append(check_delta(m - a))
         m = 2 * m - a
     return tuple(reversed(out))
-
-
-def alpha_stages_valid(indices: Iterable[int], source_degree: int) -> bool:
-    """Whether every stage of the alpha word is defined on the degree."""
-    try:
-        alpha_to_delta(indices, source_degree)
-    except DomainError:
-        return False
-    return True
-
-
-def unstable_part(element: Element, n: int) -> Element:
-    """Restrict to words that act nontrivially on a degree-n class (excess <= n)."""
-    return frozenset(w for w in element if excess(w) <= n)
-
-
-def alpha_adem_check(i: int, j: int, n: int) -> bool:
-    """Check the alpha-form Adem relation on a class of degree n.
-
-    For j < i the relation rewrites alpha_i alpha_j as the sum over s in
-    [ceil((i+2j)/3), floor((i+j-1)/2)] of C(i-s-1, s-j) alpha_{i+2j-2s}
-    alpha_s.  Both sides are converted to delta words, reduced, and
-    compared as operations on degree n (words of excess > n act as zero);
-    right-hand terms whose stage constraints fail are dropped.
-    """
-    if j >= i:
-        raise DomainError(f"alpha Adem relation needs j < i, got ({i}, {j})")
-    lhs = unstable_part(reduce([alpha_to_delta((i, j), n)]), n)
-    rhs: set = set()
-    lo = -(-(i + 2 * j) // 3)
-    hi = (i + j - 1) // 2
-    for s in range(lo, hi + 1):
-        if not binom_mod2(i - s - 1, s - j):
-            continue
-        term = (i + 2 * j - 2 * s, s)
-        if not alpha_stages_valid(term, n):
-            continue
-        rhs ^= unstable_part(reduce([alpha_to_delta(term, n)]), n)
-    return lhs == frozenset(rhs)

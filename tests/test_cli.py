@@ -8,11 +8,12 @@ from collections import Counter
 from math import comb
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
@@ -175,12 +176,19 @@ def test_exit_codes(monkeypatch):
             # and the pair's 4,333,333 values of s are refused before any is scanned
             (["annihilate", "--j", "30000", "--t", "0"], "budget"),
             (["reduce", "d2 d13000000"], "budget"),
+            # refused before the first trial, which would take about 11 hours at this count
+            (["axioms", "--trials", "100000000"], "budget"),
+            # a row for every t, with no generator in range to count
+            (["e1", "--hq", "{}", "--max-t", "4294967295"], "budget"),
             # alpha_a is defined for 0 <= a <= m - 2 only
             (["probe", "--kind", "alpha:-1", "--gen", "x4", "--max-iter", "3"], "K >= 0")):
         code, out, err = run_cli(argv)
         assert code == 4 and out == "" and err.startswith("deltacalc: "), (argv, err)
         assert err.count("\n") == 1 and want in err, (argv, err)
     monkeypatch.undo()
+    # JSON lists only the nonzero entries, so it has no row budget
+    assert run_json(["e1", "--hq", "{}", "--max-t", "4294967295"])["entries"] == [
+        {"s": 0, "t": 0, "dim": 1}]
     # one monomial costs 3k - 1 in the engine: g2000(x3) is answered
     assert run_cli(["act", "--i", "2", "--on", "g2000(x3)"]) == (0, "0\n", "")
     # the oracle's iterates over (u^1000, v^1000, w^1000) grow past the divided-power
@@ -219,6 +227,22 @@ def test_exit_codes(monkeypatch):
         5, "", "deltacalc: delta index 5000000000 exceeds 2^32\n")
     assert run_cli(["act", "--i", "4294967296", "--on", "x3"]) == (
         5, "", "deltacalc: delta index 4294967296 exceeds 2^32\n")
+    assert run_cli(["act", "--i", "1", "--on", "x3"]) == (4, "", "deltacalc: delta index 1 below 2\n")
+    # every delta index formed, by Adem rewriting, alpha conversion or theta, and every
+    # 10-digit index read, is held to 2^32; theta compares s + t before forming 2^(s + t)
+    zeros = ",".join(["0"] * 40)
+    for argv, index in (
+            (["reduce", "d4294967295 d2147483649"], "delta index 4294967296"),
+            (["reduce", "d4294967293 d2147483650"], "delta index 4294967296"),
+            (["compose", "d4294967295", "d2147483649"], "delta index 4294967296"),
+            (["stats", "d5000000000"], "delta index 5000000000"),
+            (["alpha2delta", "--word", "0", "--degree", "5000000000"], "delta index 5000000000"),
+            (["alpha2delta", "--word", zeros, "--degree", "3"], "delta index 6442450944"),
+            (["theta", "--s", "100000000", "--t", "0"], "theta index 2^100000000"),
+            (["theta", "--s", "3", "--t", "1000000000000"], "theta index 2^1000000000003")):
+        start = time.perf_counter()
+        assert run_cli(argv) == (5, "", f"deltacalc: {index} exceeds 2^32\n"), argv
+        assert time.perf_counter() - start < 1, argv
     # and 2^t is compared by bit length, not formed
     assert run_cli(["annihilate", "--j", "5", "--t", "1000000000000"]) == (
         4, "", "deltacalc: annihilation search needs j > 2^t, got j=5, t=1000000000000\n")
@@ -239,8 +263,8 @@ def test_exit_codes(monkeypatch):
 
 
 def test_every_budget_is_stated_in_help():
-    # each *_LIMIT constant of artin, gamma and words ends its own "<= value" line
-    limits = [getattr(mod, name) for mod in (cli.artin, cli.gamma, cli.wd)
+    # each *_LIMIT constant of artin, gamma, e1 and words ends its own "<= value" line
+    limits = [getattr(mod, name) for mod in (cli.artin, cli.gamma, cli.e1, cli.wd)
               for name in vars(mod) if name.endswith("_LIMIT")]
     assert len(limits) >= 6
     stated = Counter(re.findall(r"<= ([0-9,]+)$", cli._EPILOG, re.M))
@@ -428,3 +452,81 @@ def test_json_arguments_fail_cleanly(argv):
     code, _, err = run_cli(argv)
     assert code in (0, 3, 4, 5), (argv, code, err)
     assert "Traceback" not in err and err.count("\n") <= 1, (argv, err)
+
+
+# Extreme values for every integer option and every index in an expression, and edge
+# words: Adem pairs near 2^31 and 2^32 (d(2^32 - 1) d(2^31 + 1) rewrites to
+# d(2^32) d(2^31)), and alpha words whose stages double the degree.  Hypothesis draws
+# the first value of each first, so the first case of each subcommand is at 2^32.
+_EXTREME = st.sampled_from((str(2**32), "0", "-1", "2", str(2**31), str(2**32 - 1),
+                            str(2**32 + 1), str(10**12), "9" * 5000))
+_INDICES = st.lists(_EXTREME, min_size=1, max_size=3).map(lambda xs: " ".join(f"d{x}" for x in xs))
+_WORD = st.sampled_from(("d4294967295 d2147483649", "d4294967293 d2147483650",
+                         "d3221225472 d1073741824", "d2147483647 d1073741825",
+                         "d2147483649 d2147483648", "d4 d4294967295")) | _INDICES
+_ALPHA_WORD = st.sampled_from(("0", ",".join(["0"] * 40))) | st.lists(
+    _EXTREME, min_size=1, max_size=3).map(",".join)
+
+
+def _t_ring(e):
+    return json.dumps({"vars": ["t"], "relations": [f"t^{e}"]})
+
+
+# The arguments of each subcommand, built from draws.  "--opt=value" keeps argparse
+# from reading "-1" as an option.
+_EXTREME_ARGV = {
+    "reduce": lambda draw: [draw(_WORD)],
+    "compose": lambda draw: [draw(_WORD), draw(_WORD)],
+    "stats": lambda draw: [draw(_INDICES)],  # read, not rewritten
+    "annihilate": lambda draw: [f"--{opt}={draw(_EXTREME)}" for opt in ("j", "t", "max-s")],
+    "theta": lambda draw: [f"--{opt}={draw(_EXTREME)}" for opt in ("s", "t")],
+    "alpha2delta": lambda draw: [f"--word={draw(_ALPHA_WORD)}", f"--degree={draw(_EXTREME)}"],
+    "sgens": lambda draw: [f"--{opt}={draw(_EXTREME)}" for opt in ("n", "max-degree")],
+    "sbasis": lambda draw: ["--hq", f'{{"{draw(_EXTREME)}":{draw(_EXTREME)}}}',
+                            f"--max-degree={draw(_EXTREME)}"],
+    "e1": lambda draw: ["--hq", f'{{"{draw(_EXTREME)}":{draw(_EXTREME)}}}',
+                        f"--max-t={draw(_EXTREME)}"],
+    "act": lambda draw: [f"--i={draw(_EXTREME)}", "--on", f"{draw(_WORD)} x{draw(_EXTREME)}"],
+    "probe": lambda draw: ["--kind", f"alpha:{draw(_EXTREME)}", "--gen", f"x{draw(_EXTREME)}",
+                           f"--max-iter={draw(_EXTREME)}"],
+    "ring-mul": lambda draw: ["--ring", _t_ring(draw(_EXTREME)), f"t^{draw(_EXTREME)}",
+                              f"t^{draw(_EXTREME)}"],
+    "m-index": lambda draw: ["--ring", _t_ring(draw(_EXTREME))],
+    "nilpotency": lambda draw: ["--ring", _t_ring(draw(_EXTREME)), "--element",
+                                '[{"coef":"t","gen":"x3"}]', "--oracle", f"--s={draw(_EXTREME)}"],
+    "axioms": lambda draw: [f"--{opt}={draw(_EXTREME)}" for opt in ("trials", "seed")],
+}
+
+
+def _cap_address_space():
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
+# Each case runs in its own process, under a 512 MB address-space cap and a wall-clock
+# timeout, so that a case which runs away fails alone.  Shrinking would rerun failing
+# cases up to their timeout many times over, so a failure reports the case as drawn.
+@pytest.mark.parametrize("command", sorted(_EXTREME_ARGV))
+@given(data=st.data())
+@settings(max_examples=4, deadline=None, derandomize=True,
+          phases=(Phase.explicit, Phase.generate))
+def test_extreme_values_get_an_answer_or_a_clean_exit(command, data):
+    argv = [command, *_EXTREME_ARGV[command](data.draw)]
+    env = dict(os.environ, PYTHONPATH=str(DOCS.parent / "src"))
+    try:
+        result = subprocess.run([sys.executable, "-m", "deltacalc", *argv], env=env,
+                                capture_output=True, text=True, timeout=10,
+                                preexec_fn=_cap_address_space)
+    except subprocess.TimeoutExpired:
+        raise AssertionError(f"no exit within 10 s: {argv}") from None
+    code, out, err = result.returncode, result.stdout, result.stderr
+    assert code in (0, 2, 3, 4, 5), (argv, code, err)
+    assert "Traceback" not in err and "MemoryError" not in err, (argv, err)
+    if code == 2:  # argparse prints its usage, which may wrap, then one error line
+        assert err.startswith("usage: ") and ": error: " in err.splitlines()[-1], (argv, err)
+    elif code:
+        assert err.startswith("deltacalc: ") and err.count("\n") == 1, (argv, err)
+    else:
+        assert err == "", (argv, err)
+    if code == 0:
+        assert all(int(i) < 2**32 for i in re.findall(r"d(\d+)", out)), (argv, out)

@@ -66,18 +66,27 @@ def test_adem_pair_matches_direct_sum_and_is_admissible():
 
 
 def _adem_by_coefficient_loop(i, j):
-    """The Adem sum with one range-checked binomial parity per s."""
-    out = set()
-    for s in range(-(-(i + 1) // 2), (i + j) // 3 + 1):
-        if binom_mod2(j - i + s - 1, j - s):
-            out.add((i + j - s, s))
-    return frozenset(out)
+    """The Adem sum with one range-checked binomial parity per s.
+
+    Both indices are range-checked first, and every term's index after the
+    loop; the terms come by ascending s, so the largest index is checked first.
+    """
+    for k in (i, j):
+        if k >= INDEX_LIMIT:
+            raise RangeError(f"delta index {k} exceeds 2^32")
+    terms = [(i + j - s, s) for s in range(-(-(i + 1) // 2), (i + j) // 3 + 1)
+             if binom_mod2(j - i + s - 1, j - s)]
+    for a, _ in terms:
+        if a >= INDEX_LIMIT:
+            raise RangeError(f"delta index {a} exceeds 2^32")
+    return frozenset(terms)
 
 
 def test_adem_pair_range_contract_matches_the_coefficient_loop():
     # Rewriting can produce indices at or past 2^32, so j runs across it.  For
     # small i a binomial argument passes 2^32 within a few dozen s; for i near
-    # 2j the range is short and every argument stays small.
+    # 2j the range is short and every argument stays small, but the terms'
+    # indices a = i + j - s pass 2^32 once j is past 2^31.
     def outcome(adem, i, j):
         try:
             return adem(i, j)
@@ -90,6 +99,9 @@ def test_adem_pair_range_contract_matches_the_coefficient_loop():
             assert outcome(wd.adem_pair, i, j) == expected, (i, j)
     assert outcome(wd.adem_pair, 4, INDEX_LIMIT - 1) == (
         f"binomial argument {INDEX_LIMIT} exceeds 2^32")
+    # the one term of d(2^32 - 1) d(2^31 + 1) is d(2^32) d(2^31)
+    assert outcome(wd.adem_pair, INDEX_LIMIT - 1, INDEX_LIMIT // 2 + 1) == (
+        f"delta index {INDEX_LIMIT} exceeds 2^32")
 
 
 def test_reduce_examples():
@@ -298,6 +310,45 @@ def test_annihilation_existence_desk_scale():
             assert wd.annihilation_order(j, t, s_max=8) is not None
 
 
+def alpha_stages_valid(indices, source_degree):
+    """Whether every stage of the alpha word is defined on the degree."""
+    try:
+        wd.alpha_to_delta(indices, source_degree)
+    except DomainError:
+        return False
+    return True
+
+
+def unstable_part(element, n):
+    """Restrict to words that act nontrivially on a degree-n class (excess <= n)."""
+    return frozenset(w for w in element if wd.excess(w) <= n)
+
+
+def alpha_adem_check(i, j, n):
+    """Check the alpha-form Adem relation on a class of degree n.
+
+    For j < i the relation rewrites alpha_i alpha_j as the sum over s in
+    [ceil((i+2j)/3), floor((i+j-1)/2)] of C(i-s-1, s-j) alpha_{i+2j-2s}
+    alpha_s.  Both sides are converted to delta words, reduced, and
+    compared as operations on degree n (words of excess > n act as zero);
+    right-hand terms whose stage constraints fail are dropped.
+    """
+    if j >= i:
+        raise DomainError(f"alpha Adem relation needs j < i, got ({i}, {j})")
+    lhs = unstable_part(wd.reduce([wd.alpha_to_delta((i, j), n)]), n)
+    rhs: set = set()
+    lo = -(-(i + 2 * j) // 3)
+    hi = (i + j - 1) // 2
+    for s in range(lo, hi + 1):
+        if not binom_mod2(i - s - 1, s - j):
+            continue
+        term = (i + 2 * j - 2 * s, s)
+        if not alpha_stages_valid(term, n):
+            continue
+        rhs ^= unstable_part(wd.reduce([wd.alpha_to_delta(term, n)]), n)
+    return lhs == frozenset(rhs)
+
+
 def test_alpha_word_validation():
     with pytest.raises(DomainError):
         wd.alpha_to_delta((1,), 2)  # alpha_1 needs degree >= 3
@@ -309,7 +360,7 @@ def test_alpha_word_validation():
     except DomainError as e:
         err = str(e)
     assert err is not None and "alpha_5" in err and "degree 6" in err
-    assert not wd.alpha_stages_valid((5, 0), 3) and wd.alpha_stages_valid((4, 0), 3)
+    assert not alpha_stages_valid((5, 0), 3) and alpha_stages_valid((4, 0), 3)
 
 
 def test_alpha_to_delta_examples():
@@ -326,17 +377,17 @@ def test_alpha_to_delta_examples():
 
 def test_alpha_adem_check_explicit_case():
     for n in range(5, 9):
-        assert wd.alpha_adem_check(3, 1, n)
+        assert alpha_adem_check(3, 1, n)
 
 
 def test_alpha_adem_check_rejects_bad_order():
     with pytest.raises(DomainError):
-        wd.alpha_adem_check(1, 3, 6)
+        alpha_adem_check(1, 3, 6)
 
 
 def test_alpha_adem_check_grid():
     for n in range(2, 10):
         for j in range(0, n - 1):
             for i in range(j + 1, 2 * n - j - 1):
-                if wd.alpha_stages_valid((i, j), n):
-                    assert wd.alpha_adem_check(i, j, n), (i, j, n)
+                if alpha_stages_valid((i, j), n):
+                    assert alpha_adem_check(i, j, n), (i, j, n)
