@@ -52,7 +52,7 @@ def main():
                     oracle_ok = False
                     mismatches += 1
             flag = "" if oracle_ok and index <= bound else "  <-- MISMATCH"
-            print(f"  index {index}  {w.format()}{flag}")
+            print(f"  index {index}  {exprs.format_mixed_element(w)}{flag}")
     print("oracle agreement:", "clean" if mismatches == 0 else f"{mismatches} mismatches")
 
 

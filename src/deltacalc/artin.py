@@ -18,9 +18,9 @@ over the ring.
 
 That free divided power algebra over a ring is the one divided-power
 engine of the package: GF(2) is the ring ``F2`` with no variables, and
-``gamma`` runs its GF(2) arithmetic and axiom suite through it.  This
-module therefore sits below ``gamma`` and ``exprs``, and it imports
-``exprs`` only inside the methods that parse and print rings.
+``gamma`` runs its GF(2) arithmetic and axiom suite through it, so this
+module sits below ``gamma``.  It holds no text: ``exprs`` reads rings,
+ring elements and mixed elements, and prints them.
 """
 
 from __future__ import annotations
@@ -42,12 +42,12 @@ RingElement = frozenset  # frozenset[tuple[int, ...]] of normal-form exponent ve
 # the limit take about 1 s.
 NORMAL_BOX_LIMIT = 1_000_000
 
-# Largest mixed element read from JSON: coefficient monomials times relations,
-# each monomial being tested against every relation.  At the limit the closed
-# form takes milliseconds.  The oracle at s = 4 takes 1.2-1.7 s on one core
-# of a 2-vCPU machine for one 500-monomial coefficient over
-# GF(2)[t]/(t^1000000), since each squaring forms all pairwise products of the
-# monomials.
+# Largest mixed element that exprs.parse_mixed_element reads: coefficient
+# monomials times relations, each monomial being tested against every
+# relation.  At the limit the closed form takes milliseconds.  The oracle at
+# s = 4 takes 1.2-1.7 s on one core of a 2-vCPU machine for one 500-monomial
+# coefficient over GF(2)[t]/(t^1000000), since each squaring forms all
+# pairwise products of the monomials.
 ELEMENT_WORK_LIMIT = 500
 
 # Largest divided-power expansion, the work gr_gammas counts as it goes: k
@@ -100,24 +100,6 @@ class ArtinRing:
     def __repr__(self):
         return f"ArtinRing({self.variables!r}, {self.relations!r})"
 
-    @classmethod
-    def from_json(cls, source) -> "ArtinRing":
-        from . import exprs
-
-        variables = tuple(source["vars"])
-        relations = tuple(
-            exprs.parse_ring_monomial(text, variables) for text in source["relations"]
-        )
-        return cls(variables, relations)
-
-    def to_json(self) -> dict:
-        from . import exprs
-
-        return {
-            "vars": list(self.variables),
-            "relations": [exprs.format_ring_monomial(r, self.variables) for r in self.relations],
-        }
-
     def one(self) -> RingElement:
         return frozenset({(0,) * len(self.variables)})
 
@@ -150,16 +132,6 @@ class ArtinRing:
             raise DomainError(f"the ring's exponent box has {box} monomials; "
                               f"the budget is {NORMAL_BOX_LIMIT}")
         return [m for m in product(*(range(b) for b in bounds)) if self.is_normal(m)]
-
-    def parse(self, text: str) -> RingElement:
-        from . import exprs
-
-        return self.element(exprs.parse_ring_element(text, self.variables))
-
-    def format(self, elem: RingElement) -> str:
-        from . import exprs
-
-        return exprs.format_ring_element(elem, self.variables)
 
 
 def ring_multiply(ring: ArtinRing, a: RingElement, b: RingElement) -> RingElement:
@@ -237,26 +209,6 @@ class MixedElement:
                 )
             clean.append((coef, gen))
         self.terms = tuple(clean)  # (coefficient, generator) pairs, one per generator
-
-    @classmethod
-    def from_json(cls, ring: ArtinRing, source) -> "MixedElement":
-        """Build from decoded JSON; DomainError, before any arithmetic, when the parsed
-        monomials (uncancelled) times the relations exceed ELEMENT_WORK_LIMIT."""
-        from . import exprs
-
-        parsed = [(exprs.parse_ring_element(item["coef"], ring.variables), item["gen"])
-                  for item in source]
-        monomials = sum(len(monos) for monos, _ in parsed)
-        if monomials * len(ring.relations) > ELEMENT_WORK_LIMIT:
-            raise DomainError(f"the element has {monomials} coefficient monomials against "
-                              f"{len(ring.relations)} relations; the budget for coefficient "
-                              f"monomials x relations is {ELEMENT_WORK_LIMIT}")
-        return cls(ring, tuple((ring.element(monos), gen) for monos, gen in parsed))
-
-    def format(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(f"({self.ring.format(c)}) {g}" for c, g in self.terms)
 
 
 def coefficient_nilpotency(ring: ArtinRing, coef: RingElement) -> int:

@@ -6,13 +6,11 @@ import argparse
 import gc
 import json
 import os
-import re
 import sys
 
 from . import artin, e1, exprs, gamma
 from . import words as wd
 from .errors import DomainError, RangeError
-from .f2 import GradedDims
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -27,7 +25,7 @@ exit codes:
   0  success
   1  internal error (a fault in deltacalc, not in the input)
   2  unknown subcommand or bad usage
-  3  expression or JSON syntax error
+  3  syntax error in an expression, alpha word, probe kind or JSON input
   4  domain/precondition violation, or a request over its size budget
   5  integer range overflow: every delta index, parsed, passed as an option,
      or formed by rewriting, theta or alpha conversion, stays below 2^32
@@ -48,67 +46,24 @@ JSON outputs follow the schemas shipped in docs/.
 """
 
 
-def _load_json_arg(value: str, what: str):
-    """Accept inline JSON or a path to a JSON file."""
-    text = value
-    if not value.lstrip().startswith(("{", "[")):
-        try:
-            with open(value, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as err:
-            raise DomainError(f"cannot read {what} file {value!r}: {err}") from err
+def _arg_text(value: str, what: str) -> str:
+    """The argument itself when it is inline JSON, else the text of the file it names."""
+    if value.lstrip().startswith(("{", "[")):
+        return value
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as err:
-        raise exprs.ParseError(f"invalid {what} JSON: {err.msg}", text, err.pos) from err
-    except ValueError:  # an integer literal too long to convert
-        raise exprs.ParseError(f"invalid {what} JSON: a number has too many digits to read",
-                               text, 0) from None
+        with open(value, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as err:
+        raise DomainError(f"cannot read {what} file {value!r}: {err}") from err
 
 
-_DEGREE_KEY = re.compile(r"0|[1-9][0-9]*")  # propertyNames in docs/graded-dims.schema.json
-
-
-def _graded_dims(value: str) -> GradedDims:
-    table = _load_json_arg(value, "dimension table")
-    if isinstance(table, dict):
-        for deg, dim in table.items():
-            # bool is an int subclass, and JSON true is not an integer
-            if not _DEGREE_KEY.fullmatch(deg) or type(dim) is not int:
-                raise exprs.ParseError(
-                    "a dimension table maps decimal degrees to integers, not "
-                    f"{json.dumps(deg)}: {json.dumps(dim)}", value, 0)
-            exprs.parse_int(deg, "degree", value, 0)
-    return GradedDims.from_json(table)
-
-
-_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")  # vars pattern in docs/ring.schema.json
-
-
-def _strings(items) -> bool:
-    return isinstance(items, list) and all(isinstance(it, str) for it in items)
-
-
-def _ring(value: str) -> artin.ArtinRing:
-    ring = _load_json_arg(value, "ring")
-    # docs/ring.schema.json; duplicate names stay a domain error of ArtinRing
-    if not (isinstance(ring, dict) and set(ring) == {"vars", "relations"}
-            and _strings(ring["vars"]) and all(_NAME.fullmatch(v) for v in ring["vars"])
-            and _strings(ring["relations"])):
-        raise exprs.ParseError(
-            'a ring is {"vars": [variable names], "relations": [monomials]}', value, 0)
-    return artin.ArtinRing.from_json(ring)
-
-
-def _mixed_element(ring: artin.ArtinRing, value: str) -> artin.MixedElement:
-    terms = _load_json_arg(value, "mixed element")
-    # docs/mixed-element.schema.json
-    if not (isinstance(terms, list) and all(
-            isinstance(t, dict) and set(t) == {"coef", "gen"}
-            and isinstance(t["coef"], str) and isinstance(t["gen"], str) for t in terms)):
-        raise exprs.ParseError(
-            'a mixed element is a list of {"coef": ring element, "gen": name}', value, 0)
-    return artin.MixedElement.from_json(ring, terms)
+def _int(text: str) -> int:
+    """argparse's int for an option, showing at most 40 characters of a value it refuses."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text[:40]!r}"
+                                         + ("..." if len(text) > 40 else "")) from None
 
 
 def _axiom_report_json(report: artin.AxiomReport) -> dict:
@@ -161,12 +116,7 @@ def _cmd_theta(args):
 
 
 def _cmd_alpha2delta(args):
-    raw = args.word.strip()
-    try:
-        indices = tuple(int(a) for a in raw.split(",")) if raw else ()
-    except ValueError as err:
-        raise DomainError(f"alpha indices must be comma-separated integers: {raw!r}") from err
-    word = wd.alpha_to_delta(indices, args.degree)
+    word = wd.alpha_to_delta(exprs.parse_alpha_word(args.word), args.degree)
     text = exprs.format_word(word)
     return {"word": text}, text
 
@@ -183,7 +133,8 @@ def _cmd_sgens(args):
 
 
 def _cmd_sbasis(args):
-    counts = gamma.basis_counts(_graded_dims(args.hq).items(), args.max_degree)
+    hq = exprs.parse_graded_dims(_arg_text(args.hq, "dimension table"))
+    counts = gamma.basis_counts(hq.items(), args.max_degree)
     by_degree, by_weight = gamma.graded_tables(counts)
     payload = {"by_degree": by_degree.to_json()}
     lines = [f"{deg}: {dim}" for deg, dim in by_degree.items()]
@@ -201,48 +152,51 @@ def _cmd_act(args):
 
 
 def _cmd_probe(args):
-    result = gamma.nilpotency_probe(args.kind, exprs.parse_generator(args.gen), args.max_iter)
+    start = exprs.parse_generator(args.gen)
+    result = gamma.nilpotency_probe(exprs.parse_probe_kind(args.kind), start, args.max_iter)
     steps = [exprs.format_s_element(e) for e in result.trajectory]
     payload = {
-        "kind": result.kind,
-        "start": exprs.format_generator(result.start),
+        "kind": args.kind,
+        "start": exprs.format_generator(start),
         "status": result.status,
         "order": result.order,
-        "iterations": result.iterations,
+        "iterations": args.max_iter,
         "steps": steps,
     }
     if result.status == "nilpotent":
         head = f"nilpotent of order {result.order}"
     else:
-        head = f"nonvanishing through {result.iterations} iterations"
+        head = f"nonvanishing through {args.max_iter} iterations"
     text = "\n".join([head] + [f"  step {k}: {s}" for k, s in enumerate(steps)])
     return payload, text
 
 
 def _cmd_e1(args):
-    table = e1.e1_page(_graded_dims(args.hq), args.max_t)
+    hq = exprs.parse_graded_dims(_arg_text(args.hq, "dimension table"))
+    table = e1.e1_page(hq, args.max_t)
     return table.to_json(), table.render_text
 
 
 def _cmd_ring_mul(args):
-    ring = _ring(args.ring)
-    product = artin.ring_multiply(ring, ring.parse(args.left), ring.parse(args.right))
-    text = ring.format(product)
+    ring = exprs.parse_ring(_arg_text(args.ring, "ring"))
+    product = artin.ring_multiply(ring, exprs.parse_ring_element(args.left, ring),
+                                  exprs.parse_ring_element(args.right, ring))
+    text = exprs.format_ring_element(product, ring)
     return {"element": text}, text
 
 
 def _cmd_m_index(args):
-    value = artin.m_index(_ring(args.ring))
+    value = artin.m_index(exprs.parse_ring(_arg_text(args.ring, "ring")))
     return {"m_index": value}, f"m_index = {value}"
 
 
 def _cmd_nilpotency(args):
-    ring = _ring(args.ring)
-    element = _mixed_element(ring, args.element)
+    ring = exprs.parse_ring(_arg_text(args.ring, "ring"))
+    element = exprs.parse_mixed_element(_arg_text(args.element, "mixed element"), ring)
     index = artin.gamma2_nilpotency_index(element)
     mi, bound = artin.nilpotency_bound(ring)
     payload = {
-        "element": element.format(),
+        "element": exprs.format_mixed_element(element),
         "index": index,
         "m_index": mi,
         "index_bound": bound,
@@ -275,7 +229,7 @@ def _cmd_axioms(args):
     payload = {
         "trials": trials,
         "f2": _axiom_report_json(f2_report),
-        "coefficient_ring": _AXIOM_RING.to_json(),
+        "coefficient_ring": exprs.format_ring(_AXIOM_RING),
         "ring": _axiom_report_json(ring_report),
         "ok": f2_report.ok and ring_report.ok,
     }
@@ -298,14 +252,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="output format (default: text)")
-    parser.add_argument("--seed", type=int, default=0,
+    parser.add_argument("--seed", type=_int, default=0,
                         help="seed for randomized verification commands")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     def cmd(name, handler, help_, configure):
         p = sub.add_parser(name, help=help_)
         p.add_argument("--format", choices=("text", "json"), default=argparse.SUPPRESS)
-        p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+        p.add_argument("--seed", type=_int, default=argparse.SUPPRESS)
         configure(p)
         p.set_defaults(handler=handler)
 
@@ -317,49 +271,51 @@ def build_parser() -> argparse.ArgumentParser:
         lambda p: p.add_argument("word"))
 
     def conf_annihilate(p):
-        p.add_argument("--j", type=int, required=True)
-        p.add_argument("--t", type=int, required=True)
-        p.add_argument("--max-s", type=int, default=16, dest="max_s")
+        p.add_argument("--j", type=_int, required=True)
+        p.add_argument("--t", type=_int, required=True)
+        p.add_argument("--max-s", type=_int, default=16, dest="max_s")
     cmd("annihilate", _cmd_annihilate,
         "least s with theta(s,t) * delta_j reducing to zero", conf_annihilate)
 
     def conf_theta(p):
-        p.add_argument("--s", type=int, required=True)
-        p.add_argument("--t", type=int, required=True)
+        p.add_argument("--s", type=_int, required=True)
+        p.add_argument("--t", type=_int, required=True)
     cmd("theta", _cmd_theta, "the doubling composite theta(s,t)", conf_theta)
 
     def conf_a2d(p):
         p.add_argument("--word", required=True,
-                       help="comma-separated alpha indices, applied rightmost first")
-        p.add_argument("--degree", type=int, required=True)
+                       help="alpha indices as comma-separated decimal integers, "
+                       "e.g. 1,0, applied rightmost first")
+        p.add_argument("--degree", type=_int, required=True)
     cmd("alpha2delta", _cmd_alpha2delta, "convert an alpha word on a given degree",
         conf_a2d)
 
     def conf_sgens(p):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--max-degree", type=int, required=True, dest="max_degree")
+        p.add_argument("--n", type=_int, required=True)
+        p.add_argument("--max-degree", type=_int, required=True, dest="max_degree")
     cmd("sgens", _cmd_sgens, "free divided-power generators on x_n", conf_sgens)
 
     def conf_sbasis(p):
         p.add_argument("--hq", required=True, help="graded dims (inline JSON or a file)")
-        p.add_argument("--max-degree", type=int, required=True, dest="max_degree")
+        p.add_argument("--max-degree", type=_int, required=True, dest="max_degree")
         p.add_argument("--by-weight", action="store_true", dest="by_weight")
     cmd("sbasis", _cmd_sbasis, "basis dimensions of the free algebra", conf_sbasis)
 
     def conf_act(p):
-        p.add_argument("--i", type=int, required=True)
+        p.add_argument("--i", type=_int, required=True)
         p.add_argument("--on", required=True)
     cmd("act", _cmd_act, "apply delta_i to an element", conf_act)
 
     def conf_probe(p):
-        p.add_argument("--kind", required=True, help="gamma2 | alpha:K | andre")
+        p.add_argument("--kind", required=True, help="gamma2 | andre | alpha:K (K an integer): "
+                       "iterate delta_(deg-K); gamma2 is alpha:0, andre alpha:1")
         p.add_argument("--gen", required=True)
-        p.add_argument("--max-iter", type=int, required=True, dest="max_iter")
+        p.add_argument("--max-iter", type=_int, required=True, dest="max_iter")
     cmd("probe", _cmd_probe, "iterate an operation on the indecomposables", conf_probe)
 
     def conf_e1(p):
         p.add_argument("--hq", required=True, help="graded dims (inline JSON or a file)")
-        p.add_argument("--max-t", type=int, required=True, dest="max_t")
+        p.add_argument("--max-t", type=_int, required=True, dest="max_t")
     cmd("e1", _cmd_e1, "first-page dimension table", conf_e1)
 
     def conf_ring_mul(p):
@@ -375,11 +331,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ring", required=True)
         p.add_argument("--element", required=True, help="mixed element JSON")
         p.add_argument("--oracle", action="store_true")
-        p.add_argument("--s", type=int, default=2)
+        p.add_argument("--s", type=_int, default=2)
     cmd("nilpotency", _cmd_nilpotency,
         "divided-square nilpotency index of a mixed element", conf_nilpotency)
     cmd("axioms", _cmd_axioms, "fuzz the divided power axioms",
-        lambda p: p.add_argument("--trials", type=int, default=200))
+        lambda p: p.add_argument("--trials", type=_int, default=200))
 
     return parser
 
@@ -395,7 +351,8 @@ def main(argv=None) -> int:
         if args.format == "text" and callable(text):
             text = text()
     except ValueError as err:  # ParseError, RangeError and DomainError among them
-        print(f"deltacalc: {err}", file=sys.stderr)
+        message = f"deltacalc: {err}"  # one line, cut to 200 characters: values can be long
+        print(message if len(message) <= 200 else message[:197] + "...", file=sys.stderr)
         if isinstance(err, exprs.ParseError):
             return EXIT_SYNTAX
         return EXIT_RANGE if isinstance(err, RangeError) else EXIT_DOMAIN

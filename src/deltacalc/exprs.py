@@ -1,6 +1,8 @@
-"""Parsers and canonical printers for the expression surface syntax.
+"""Readers and canonical printers: every input's text is read here, and only here.
 
-One small grammar per kind, all ASCII ('d' for delta, 'g' for gamma):
+A reader checks the syntax or JSON shape of its text and builds the value
+through its constructor.  One small grammar per kind, all ASCII ('d' for
+delta, 'g' for gamma):
 
   delta word      word    := 'e' | ('d' INT)+
   delta element   element := '0' | word ('+' word)*
@@ -11,6 +13,13 @@ One small grammar per kind, all ASCII ('d' for delta, 'g' for gamma):
   ring element    element := '0' | term ('+' term)*
                   term    := '1' | varpow ('*' varpow)*
                   varpow  := VAR ('^' INT)?
+  alpha word      word    := '' | SINT (',' SINT)*      SINT := -?[0-9]+
+  probe kind      kind    := 'gamma2' | 'andre' | 'alpha:' SINT
+
+Dimension tables, rings and mixed elements are JSON, in the shapes of
+their schemas in docs/.  Text that breaks a grammar or a shape is a
+ParseError; a value of the right shape outside its domain is the
+constructor's DomainError.
 
 Canonical printing is deterministic: delta words sort descending, basis
 monomials sort by degree then factor order, ring monomials sort by total
@@ -21,11 +30,14 @@ are accepted and land in basis form.
 
 from __future__ import annotations
 
+import json
 import re
+from functools import reduce
 
-from . import gamma
+from . import artin, gamma
 from . import words as wd
 from .errors import DomainError, RangeError
+from .f2 import GradedDims
 
 
 class ParseError(ValueError):
@@ -35,10 +47,9 @@ class ParseError(ValueError):
         self.line = text.count("\n", 0, pos) + 1
         self.column = pos - text.rfind("\n", 0, pos)
         self.pos = pos
-        self.expected = tuple(expected)
         detail = f"line {self.line}, column {self.column}: {message}"
-        if self.expected:
-            detail += f" (expected {', '.join(self.expected)})"
+        if expected:
+            detail += f" (expected {', '.join(expected)})"
         super().__init__(detail)
 
 
@@ -99,6 +110,10 @@ _RING_SPEC = [
     ("STAR", r"\*"),
 ]
 
+_ALPHA_SPEC = [("INT", r"-?[0-9]+"), ("COMMA", ",")]
+
+_SEPARATORS = {"PLUS": "+", "STAR": "*", "COMMA": ","}
+
 
 def parse_int(digits: str, what: str, text: str, pos: int) -> int:
     """A decimal token; one too long to convert is a syntax error that names it."""
@@ -107,6 +122,33 @@ def parse_int(digits: str, what: str, text: str, pos: int) -> int:
     except ValueError:
         raise ParseError(f"{what} {digits[:12]}... has {len(digits)} digits, too many to read",
                          text, pos) from None
+
+
+def _read_list(toks: _Tokens, item, sep: str, to_end: bool = True) -> list:
+    """``item (sep item)*``, each item read by ``item()``: through the end of input,
+    or while a ``sep`` follows when not ``to_end``."""
+    items = [item()]
+    while toks.peek() is not None and (to_end or toks.peek()[0] == sep):
+        toks.next(sep, (_SEPARATORS[sep],))
+        items.append(item())
+    return items
+
+
+def _read_sum(toks: _Tokens, item) -> list:
+    """A sum: a lone '0' as the empty list, or ``item ('+' item)*`` through the end of input."""
+    tok = toks.peek()
+    if tok and tok[1] == "0":
+        toks.next()
+        toks.done()
+        return []
+    return _read_list(toks, item, "PLUS")
+
+
+def _gf2_sum(sets) -> frozenset:
+    out: set = set()
+    for it in sets:
+        out ^= it
+    return frozenset(out)
 
 
 def _delta_index(tok, text: str) -> int:
@@ -150,16 +192,7 @@ def parse_word(text: str) -> wd.Word:
 def parse_delta(text: str) -> wd.Element:
     """A GF(2) sum of delta words."""
     toks = _Tokens(text, _DELTA_SPEC)
-    tok = toks.peek()
-    if tok and tok[0] == "ZERO":
-        toks.next()
-        toks.done()
-        return frozenset()
-    out = {_read_word(toks, text)}
-    while toks.peek() is not None:
-        toks.next("PLUS", ("+",))
-        out ^= {_read_word(toks, text)}
-    return frozenset(out)
+    return _gf2_sum({w} for w in _read_sum(toks, lambda: _read_word(toks, text)))
 
 
 def _parse_atom(toks: _Tokens, text: str) -> tuple[wd.Word, int, int]:
@@ -193,11 +226,6 @@ def parse_generator(text: str) -> gamma.FreeGenerator:
 def parse_s_element(text: str) -> gamma.Element:
     """Evaluate an s-element expression to basis form."""
     toks = _Tokens(text, _S_SPEC)
-    tok = toks.peek()
-    if tok and tok[0] == "ZERO":
-        toks.next()
-        toks.done()
-        return gamma.ZERO
 
     def factor() -> gamma.Element:
         tok = toks.peek()
@@ -217,28 +245,15 @@ def parse_s_element(text: str) -> gamma.Element:
         return _eval_atom(word, n, idx)
 
     def monomial() -> gamma.Element:
-        out = factor()
-        while toks.peek() and toks.peek()[0] == "STAR":
-            toks.next()
-            out = gamma.multiply(out, factor())
-        return out
+        return reduce(gamma.multiply, _read_list(toks, factor, "STAR", to_end=False))
 
-    out = monomial()
-    while toks.peek() is not None:
-        toks.next("PLUS", ("+",))
-        out = frozenset(out ^ monomial())
-    return frozenset(out)
+    return _gf2_sum(_read_sum(toks, monomial))
 
 
-def parse_ring_element(text: str, variables: tuple[str, ...]) -> list[tuple[int, ...]]:
+def _ring_monomials(text: str, variables: tuple[str, ...]) -> list[tuple[int, ...]]:
     """Raw exponent vectors of a ring expression; GF(2) cancellation is the caller's."""
     nvars = len(variables)
     toks = _Tokens(text, _RING_SPEC)
-    tok = toks.peek()
-    if tok and tok[0] == "INT" and tok[1] == "0":
-        toks.next()
-        toks.done()
-        return []
 
     def varpow() -> tuple[int, int]:
         tok = toks.peek()
@@ -262,28 +277,108 @@ def parse_ring_element(text: str, variables: tuple[str, ...]) -> list[tuple[int,
 
     def term() -> tuple[int, ...]:
         exps = [0] * nvars
-        k, e = varpow()
-        if k >= 0:
-            exps[k] += e
-        while toks.peek() and toks.peek()[0] == "STAR":
-            toks.next()
-            k, e = varpow()
+        for k, e in _read_list(toks, varpow, "STAR", to_end=False):
             if k >= 0:
                 exps[k] += e
         return tuple(exps)
 
-    monos = [term()]
-    while toks.peek() is not None:
-        toks.next("PLUS", ("+",))
-        monos.append(term())
-    return monos
+    return _read_sum(toks, term)
 
 
-def parse_ring_monomial(text: str, variables: tuple[str, ...]) -> tuple[int, ...]:
-    monos = parse_ring_element(text, variables)
-    if len(monos) != 1:
-        raise ParseError("expected a single monomial", text, 0)
-    return monos[0]
+def parse_ring_element(text: str, ring: artin.ArtinRing) -> artin.RingElement:
+    """A ring element in normal form: its monomials summed over GF(2), relations dropped."""
+    return ring.element(_ring_monomials(text, ring.variables))
+
+
+def _load_json(text: str, what: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise ParseError(f"invalid {what} JSON: {err.msg}", text, err.pos) from err
+    except ValueError:  # an integer literal too long to convert
+        raise ParseError(f"invalid {what} JSON: a number has too many digits to read",
+                         text, 0) from None
+
+
+_DEGREE = re.compile(r"0|[1-9][0-9]*")  # propertyNames in docs/graded-dims.schema.json
+
+
+def parse_graded_dims(text: str) -> GradedDims:
+    """A dimension table, docs/graded-dims.schema.json: decimal degrees to dimensions >= 0."""
+    table = _load_json(text, "dimension table")
+    if not isinstance(table, dict):
+        raise ParseError("a dimension table is a JSON object", text, 0)
+    dims = {}
+    for deg, dim in table.items():
+        # bool is an int subclass, and JSON true is not an integer
+        if not _DEGREE.fullmatch(deg) or type(dim) is not int or dim < 0:
+            raise ParseError("a dimension table maps decimal degrees to integers >= 0, not "
+                             f"{json.dumps(deg)}: {json.dumps(dim)}", text, 0)
+        dims[parse_int(deg, "degree", text, 0)] = dim
+    return GradedDims(dims)
+
+
+_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")  # vars pattern in docs/ring.schema.json
+
+
+def parse_ring(text: str) -> artin.ArtinRing:
+    """A ring, docs/ring.schema.json; each relation is one monomial in the element syntax."""
+    ring = _load_json(text, "ring")
+    # duplicate variable names stay a DomainError of ArtinRing
+    if not (isinstance(ring, dict) and set(ring) == {"vars", "relations"}
+            and all(isinstance(v, list) and all(isinstance(s, str) for s in v)
+                    for v in ring.values()) and all(_NAME.fullmatch(v) for v in ring["vars"])):
+        raise ParseError('a ring is {"vars": [variable names], "relations": [monomials]}', text, 0)
+    variables = tuple(ring["vars"])
+    relations = []
+    for rel in ring["relations"]:
+        monos = _ring_monomials(rel, variables)
+        if len(monos) != 1:
+            raise ParseError("expected a single monomial", rel, 0)
+        relations.append(monos[0])
+    return artin.ArtinRing(variables, tuple(relations))
+
+
+def parse_mixed_element(text: str, ring: artin.ArtinRing) -> artin.MixedElement:
+    """A mixed element over the ring, docs/mixed-element.schema.json; DomainError, before any
+    ring arithmetic, when its monomials times the relations exceed artin.ELEMENT_WORK_LIMIT."""
+    terms = _load_json(text, "mixed element")
+    if not (isinstance(terms, list) and all(
+            isinstance(t, dict) and set(t) == {"coef", "gen"}
+            and isinstance(t["coef"], str) and isinstance(t["gen"], str) for t in terms)):
+        raise ParseError('a mixed element is a list of {"coef": ring element, "gen": name}',
+                         text, 0)
+    parsed = [(_ring_monomials(t["coef"], ring.variables), t["gen"]) for t in terms]  # uncancelled
+    monomials = sum(len(monos) for monos, _ in parsed)
+    if monomials * len(ring.relations) > artin.ELEMENT_WORK_LIMIT:
+        raise DomainError(f"the element has {monomials} coefficient monomials against "
+                          f"{len(ring.relations)} relations; the budget for coefficient "
+                          f"monomials x relations is {artin.ELEMENT_WORK_LIMIT}")
+    return artin.MixedElement(ring, tuple((ring.element(monos), gen) for monos, gen in parsed))
+
+
+def parse_alpha_word(text: str) -> tuple[int, ...]:
+    """Comma-separated alpha indices, the empty word for blank text; signs are the domain's."""
+    toks = _Tokens(text, _ALPHA_SPEC)
+
+    def index() -> int:
+        tok = toks.next("INT", ("<int>",))
+        return parse_int(tok[1], "alpha index", text, tok[2])
+
+    return tuple(_read_list(toks, index, "COMMA")) if toks.peek() else ()
+
+
+_PROBE_KIND = re.compile(r"gamma2|andre|alpha:(-?[0-9]+)")
+
+
+def parse_probe_kind(text: str) -> int:
+    """The K of alpha:K, the probe applying delta_(deg - K); gamma2 is alpha:0, andre alpha:1."""
+    m = _PROBE_KIND.fullmatch(text)
+    if m is None:
+        raise ParseError("unknown probe kind", text, 0, ("gamma2", "andre", "alpha:<int>"))
+    if m[1] is None:
+        return 0 if text == "gamma2" else 1
+    return parse_int(m[1], "alpha index", text, m.start(1))
 
 
 # --- printers ---
@@ -334,8 +429,20 @@ def format_ring_monomial(mono: tuple[int, ...], variables: tuple[str, ...]) -> s
     return "*".join(parts) if parts else "1"
 
 
-def format_ring_element(elem, variables: tuple[str, ...]) -> str:
+def format_ring_element(elem: artin.RingElement, ring: artin.ArtinRing) -> str:
     if not elem:
         return "0"
     ordered = sorted(elem, key=lambda m: (sum(m), m), reverse=True)
-    return " + ".join(format_ring_monomial(m, variables) for m in ordered)
+    return " + ".join(format_ring_monomial(m, ring.variables) for m in ordered)
+
+
+def format_ring(ring: artin.ArtinRing) -> dict:
+    """The JSON form of docs/ring.schema.json, which parse_ring reads back."""
+    return {"vars": list(ring.variables),
+            "relations": [format_ring_monomial(r, ring.variables) for r in ring.relations]}
+
+
+def format_mixed_element(w: artin.MixedElement) -> str:
+    if not w.terms:
+        return "0"
+    return " + ".join(f"({format_ring_element(c, w.ring)}) {g}" for c, g in w.terms)

@@ -28,10 +28,11 @@ def binom_mod2(n: int, k: int) -> int:
 
 
 class GradedDims:
-    """Finitely supported table mapping degree to dimension.
+    """Finitely supported table mapping an int degree to an int dimension.
 
-    The JSON form is an object keyed by decimal-string degrees,
-    e.g. ``{"0": 1, "2": 1}``; absent degrees are zero.
+    The JSON form, written by to_json and read by exprs.parse_graded_dims,
+    is an object keyed by decimal-string degrees, e.g. ``{"0": 1, "2": 1}``;
+    absent degrees are zero.
     """
 
     __slots__ = ("_entries",)
@@ -39,8 +40,6 @@ class GradedDims:
     def __init__(self, entries=None):
         table = {}
         for deg, dim in dict(entries or {}).items():
-            deg = int(deg)
-            dim = int(dim)
             if deg < 0:
                 raise DomainError(f"negative degree {deg}")
             if dim < 0:
@@ -77,10 +76,4 @@ class GradedDims:
 
     def to_json(self) -> dict[str, int]:
         return {str(deg): dim for deg, dim in self.items()}
-
-    @classmethod
-    def from_json(cls, source) -> "GradedDims":
-        if not isinstance(source, dict):
-            raise DomainError("graded dimension table must be a JSON object")
-        return cls(source)
 

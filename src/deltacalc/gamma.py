@@ -31,6 +31,8 @@ gamma-power prefixes, and words of excess < n are plain generators.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from . import artin
 from . import words as wd
 from .errors import DomainError
@@ -270,16 +272,16 @@ def s_generators(n: int, max_degree: int) -> list[FreeGenerator]:
     """All generators delta_I(x_n) with e(I) < n and degree <= max_degree.
 
     Includes x_n itself (the empty word); sorted by degree, then word.  A
-    list that would pass GENERATOR_LIMIT raises DomainError as it is built.
+    list that would pass GENERATOR_LIMIT raises DomainError once its words
+    are counted, before any generator is built.
     """
     if n < 1:
         raise DomainError(f"generator degree must be >= 1, got {n}")
-    gens = []
-    for w in _generator_words(n, max_degree):
-        if len(gens) == GENERATOR_LIMIT:
-            raise DomainError(f"x{n} has more than {GENERATOR_LIMIT} generators through "
-                              f"degree {max_degree}; the budget is {GENERATOR_LIMIT}")
-        gens.append(FreeGenerator(n, 1, w))
+    words = list(islice(_generator_words(n, max_degree), GENERATOR_LIMIT + 1))
+    if len(words) > GENERATOR_LIMIT:
+        raise DomainError(f"x{n} has more than {GENERATOR_LIMIT} generators through "
+                          f"degree {max_degree}; the budget is {GENERATOR_LIMIT}")
+    gens = [FreeGenerator(n, 1, w) for w in words]
     gens.sort(key=lambda g: g.sort_key)
     return gens
 
@@ -412,41 +414,23 @@ def basis_counts(gens, max_degree: int) -> dict[tuple[int, int], int]:
 class ProbeResult:
     """Outcome of iterating an operation on the indecomposables."""
 
-    __slots__ = ("kind", "start", "status", "order", "iterations", "trajectory")
+    __slots__ = ("status", "order", "trajectory")
 
-    def __init__(self, kind: str, start: FreeGenerator, status: str, order: int | None,
-                 iterations: int, trajectory: list[Element]):
-        self.kind = kind
-        self.start = start
+    def __init__(self, status: str, order: int | None, trajectory: list[Element]):
         self.status = status  # "nilpotent" or "nonvanishing"
         self.order = order
-        self.iterations = iterations
         self.trajectory = trajectory
 
 
-def _probe_index(kind: str, deg: int) -> int:
-    if kind == "gamma2":
-        return deg
-    if kind == "andre":
-        return deg - 1
-    if kind.startswith("alpha:"):
-        try:
-            a = int(kind.split(":", 1)[1])
-        except ValueError:
-            a = -1
-        if a >= 0:  # alpha_a = delta_(m-a), defined for 0 <= a <= m - 2
-            return deg - a
-    raise DomainError(f"unknown probe kind {kind!r}; use gamma2, alpha:K with K >= 0, or andre")
-
-
-def nilpotency_probe(kind: str, start: FreeGenerator, max_iter: int) -> ProbeResult:
-    """Iterate gamma2 / alpha:k / andre through delta_act and q_project.
+def nilpotency_probe(offset: int, start: FreeGenerator, max_iter: int) -> ProbeResult:
+    """Iterate alpha_a = delta_(deg - a) through delta_act and q_project (gamma2 is a = 0).
 
     Reports the first step at which the iterate vanishes in the
     indecomposables, or that it survived max_iter steps.  A stage whose
     delta index would fall below 2 is a domain boundary.
     """
-    _probe_index(kind, 4)  # reject unknown kinds up front
+    if offset < 0:  # alpha_a = delta_(m-a), defined for 0 <= a <= m - 2
+        raise DomainError(f"alpha:{offset} is undefined; probes take alpha:K with K >= 0")
     if start.degree < 2:
         raise DomainError("probes need a starting generator of degree >= 2")
     if max_iter < 0:
@@ -455,16 +439,16 @@ def nilpotency_probe(kind: str, start: FreeGenerator, max_iter: int) -> ProbeRes
     trajectory = [current]
     for step in range(1, max_iter + 1):
         deg = element_degree(current)
-        i = _probe_index(kind, deg)
+        i = deg - offset
         if i < 2:
             raise DomainError(
-                f"{kind} on degree {deg} would need delta_{i}; operations stop at delta_2"
+                f"alpha:{offset} on degree {deg} would need delta_{i}; operations stop at delta_2"
             )
         current = q_project(delta_act(i, current))
         trajectory.append(current)
         if not current:
-            return ProbeResult(kind, start, "nilpotent", step, max_iter, trajectory)
-    return ProbeResult(kind, start, "nonvanishing", None, max_iter, trajectory)
+            return ProbeResult("nilpotent", step, trajectory)
+    return ProbeResult("nonvanishing", None, trajectory)
 
 
 def gamma_axiom_suite(trials: int, seed: int = 0) -> artin.AxiomReport:

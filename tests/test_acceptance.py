@@ -10,7 +10,7 @@ from itertools import combinations
 from pathlib import Path
 
 import adem_reference
-from deltacalc import artin, gamma
+from deltacalc import artin, exprs, gamma
 from deltacalc import words as wd
 from deltacalc.e1 import e1_page
 from deltacalc.f2 import GradedDims
@@ -149,7 +149,7 @@ def test_criterion_07_non_nilpotence_witness():
     # n = 2 is excluded: there alpha_{n-2} is the divided square, whose image
     # is a divided power and so dies in the indecomposables after one step.
     for n in range(3, 9):
-        result = gamma.nilpotency_probe(f"alpha:{n - 2}", gamma.FreeGenerator(n), 10)
+        result = gamma.nilpotency_probe(n - 2, gamma.FreeGenerator(n), 10)
         assert result.status == "nonvanishing", n
         for s, step in enumerate(result.trajectory):
             expected = gamma.generator_element(gamma.FreeGenerator(n, 1, wd.theta(s, 0)))
@@ -193,7 +193,7 @@ def test_criterion_09_artin_nilpotency():
                 assert (not any(projection.values())) == (s >= index), (ring, s)
 
     t3 = rings[0]
-    w = artin.MixedElement(t3, ((t3.parse("t"), "x"),))
+    w = artin.MixedElement(t3, ((exprs.parse_ring_element("t", t3), "x"),))
     assert artin.gamma2_nilpotency_index(w) == 2
     assert (artin.m_index(t3) - 1).bit_length() == 2
     passed(9, "closed-form index equals the oracle projection on 5 rings x 20 "

@@ -181,10 +181,12 @@ def test_exit_codes(monkeypatch):
             # a row for every t, with no generator in range to count
             (["e1", "--hq", "{}", "--max-t", "4294967295"], "budget"),
             # alpha_a is defined for 0 <= a <= m - 2 only
-            (["probe", "--kind", "alpha:-1", "--gen", "x4", "--max-iter", "3"], "K >= 0")):
+            (["probe", "--kind", "alpha:-1", "--gen", "x4", "--max-iter", "3"], "K >= 0"),
+            # a 4,000-digit index reads as an integer, and its message is cut to one short line
+            (["alpha2delta", "--word", "9" * 4000, "--degree", "3"], "alpha_9999")):
         code, out, err = run_cli(argv)
         assert code == 4 and out == "" and err.startswith("deltacalc: "), (argv, err)
-        assert err.count("\n") == 1 and want in err, (argv, err)
+        assert err.count("\n") == 1 and want in err and len(err) <= 201, (argv, err)
     monkeypatch.undo()
     # JSON lists only the nonzero entries, so it has no row budget
     assert run_json(["e1", "--hq", "{}", "--max-t", "4294967295"])["entries"] == [
@@ -209,10 +211,13 @@ def test_exit_codes(monkeypatch):
             (["sbasis", "--hq", f'{{"3":{long}}}', "--max-degree", "6"], 3),
             (["e1", "--hq", f'{{"{long}":1}}', "--max-t", "6"], 3),
             (["m-index", "--ring", f'{{"vars":["t"],"relations":["t^{long}"]}}'], 3),
-            (["ring-mul", "--ring", _T3, f"t^{long}", "t"], 3)):
+            (["ring-mul", "--ring", _T3, f"t^{long}", "t"], 3),
+            (["alpha2delta", "--word", long, "--degree", "3"], 3),
+            (["probe", "--kind", f"alpha:{long}", "--gen", "x4", "--max-iter", "3"], 3)):
         code, out, err = run_cli(argv)
         assert code == want_code and out == "" and err.startswith("deltacalc: "), (argv, err)
         assert err.count("\n") == 1 and ("5000 digits" in err or "too many digits" in err), err
+        assert len(err) <= 201, (argv, err)
         assert "set_int_max_str_digits" not in err and "4300" not in err, (argv, err)
     # indices at 2^32 are refused where they arise, before any Adem term is tested:
     # d4 d(2^32 - 1) has about 1.4e9 values of s, and at s = 6 an argument reaches 2^32
@@ -250,16 +255,36 @@ def test_exit_codes(monkeypatch):
                  ["m-index", "--ring", '{"vars":["t"],"relations":["t^3"],"x":1}'],
                  ["m-index", "--ring", '{"vars":[3],"relations":["t^3"]}'],
                  ["nilpotency", "--ring", _T3, "--element", '["x"]'],
-                 ["nilpotency", "--ring", _T3, "--element", '[{"coef":1,"gen":"x"}]']):
+                 ["nilpotency", "--ring", _T3, "--element", '[{"coef":1,"gen":"x"}]'],
+                 # alpha indices are -?[0-9]+ items joined by commas; a probe kind is
+                 # gamma2, andre or alpha:<int>
+                 ["alpha2delta", "--word", "1,,2", "--degree", "30"],
+                 ["alpha2delta", "--word", "2,", "--degree", "30"],
+                 ["alpha2delta", "--word", "x", "--degree", "3"],
+                 ["alpha2delta", "--word", "1_0", "--degree", "30"],
+                 ["alpha2delta", "--word", "+1", "--degree", "3"],
+                 ["probe", "--kind", "frobenius", "--gen", "x4", "--max-iter", "3"],
+                 ["probe", "--kind", "alpha:1_0", "--gen", "x40", "--max-iter", "3"],
+                 ["probe", "--kind", "x" * 5000, "--gen", "x4", "--max-iter", "3"],
+                 # a long token is named, cut to fit the line
+                 ["act", "--i", "2", "--on", "x3 x" + "1" * 5000],
+                 ["ring-mul", "--ring", _T3, "t + " + "a" * 5000, "t"]):
         code, out, err = run_cli(argv)
         assert code == 3 and out == "" and err.startswith("deltacalc: "), (argv, err)
         assert err.count("\n") == 1 and "indices" not in err, (argv, err)
-    for hq in ('{"3":1.5}', '{"3":true}', '{"3":"x"}', '{"x":1}'):
+        assert len(err) <= 201, (argv, err)
+    # a blank alpha word is the empty word; a negative index is the domain's to refuse
+    assert run_cli(["alpha2delta", "--word", " ", "--degree", "3"]) == (0, "e\n", "")
+    assert run_cli(["alpha2delta", "--word=-1", "--degree", "3"]) == (
+        4, "", "deltacalc: alpha_-1 (factor 1 from the right) is undefined on degree 3\n")
+    # a dimension table is an object of dimensions >= 0, checked as its schema says
+    for hq in ('{"3":1.5}', '{"3":true}', '{"3":"x"}', '{"x":1}', '[]', '[{"3":1}]',
+               '{"3":-1}', '{"2":1,"3":-1}', f'{{"{"x" * 5000}":1}}'):
         for argv in (["sbasis", "--hq", hq, "--max-degree", "6"],
                      ["e1", "--hq", hq, "--max-t", "6"]):
             code, _, err = run_cli(argv)
             assert code == 3 and err.startswith("deltacalc: "), (argv, err)
-            assert err.count("\n") == 1, (argv, err)
+            assert err.count("\n") == 1 and len(err) <= 201, (argv, err)
 
 
 def test_every_budget_is_stated_in_help():
@@ -452,6 +477,7 @@ def test_json_arguments_fail_cleanly(argv):
     code, _, err = run_cli(argv)
     assert code in (0, 3, 4, 5), (argv, code, err)
     assert "Traceback" not in err and err.count("\n") <= 1, (argv, err)
+    assert len(err) <= 201, (argv, err)  # one line of at most 200 characters
 
 
 # Extreme values for every integer option and every index in an expression, and edge
@@ -521,6 +547,7 @@ def test_extreme_values_get_an_answer_or_a_clean_exit(command, data):
         raise AssertionError(f"no exit within 10 s: {argv}") from None
     code, out, err = result.returncode, result.stdout, result.stderr
     assert code in (0, 2, 3, 4, 5), (argv, code, err)
+    assert all(len(line) <= 200 for line in err.splitlines()), (argv, err)
     assert "Traceback" not in err and "MemoryError" not in err, (argv, err)
     if code == 2:  # argparse prints its usage, which may wrap, then one error line
         assert err.startswith("usage: ") and ": error: " in err.splitlines()[-1], (argv, err)

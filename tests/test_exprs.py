@@ -54,13 +54,26 @@ def test_printing_sorts_words_descending():
 
 def test_ring_element_parsing():
     ring = ArtinRing(("u", "v"), ((3, 0), (0, 3)))
-    assert ring.parse("u*v + u^2") == frozenset({(1, 1), (2, 0)})
-    assert ring.parse("1") == ring.one()
-    assert ring.parse("0") == ring.zero()
-    assert ring.parse("u + u") == ring.zero()
+    assert exprs.parse_ring_element("u*v + u^2", ring) == frozenset({(1, 1), (2, 0)})
+    assert exprs.parse_ring_element("1", ring) == ring.one()
+    assert exprs.parse_ring_element("0", ring) == ring.zero()
+    assert exprs.parse_ring_element("u + u", ring) == ring.zero()
     with pytest.raises(exprs.ParseError) as err:
-        ring.parse("u + w")
+        exprs.parse_ring_element("u + w", ring)
     assert "w" in str(err.value)
+
+
+def test_alpha_words_and_probe_kinds():
+    assert exprs.parse_alpha_word("1, 0") == (1, 0)
+    assert exprs.parse_alpha_word(" ") == ()
+    assert exprs.parse_alpha_word("-1,0") == (-1, 0)  # the sign is the domain's to refuse
+    assert [exprs.parse_probe_kind(k) for k in ("gamma2", "andre", "alpha:3", "alpha:-1")] == [
+        0, 1, 3, -1]
+    for parse, text in ((exprs.parse_alpha_word, "1,"), (exprs.parse_alpha_word, "+1"),
+                        (exprs.parse_alpha_word, "1_0"), (exprs.parse_probe_kind, "alpha:"),
+                        (exprs.parse_probe_kind, " gamma2"), (exprs.parse_probe_kind, "alpha:+1")):
+        with pytest.raises(exprs.ParseError):
+            parse(text)
 
 
 def test_error_positions_inside_text():
@@ -111,5 +124,5 @@ def test_round_trip_ring_elements():
     monos = ring.normal_monomials()
     for _ in range(3000):
         element = ring.element(rng.sample(monos, k=rng.randint(0, 4)))
-        text = exprs.format_ring_element(element, ring.variables)
-        assert ring.parse(text) == element
+        text = exprs.format_ring_element(element, ring)
+        assert exprs.parse_ring_element(text, ring) == element

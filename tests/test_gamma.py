@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from deltacalc import artin, gamma
+from deltacalc import artin, exprs, gamma
 from deltacalc import words as wd
 from deltacalc.errors import DomainError
 
@@ -108,6 +108,25 @@ def test_s_generators_refuse_over_budget(monkeypatch):
     # the word search itself and the counting stay unbudgeted by it
     assert len(list(gamma._generator_words(3, 20))) == 4
     assert gamma.basis_counts([(3, 1)], 9)[(2, 5)] == 1
+
+
+def test_s_generators_refuse_before_building_a_generator(monkeypatch):
+    # x_(2^31) through degree 2^32 has millions of words: the first 200,001 are
+    # counted, and no FreeGenerator is made for a list that is refused
+    built = []
+
+    class Counted(gamma.FreeGenerator):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(gamma, "FreeGenerator", Counted)
+    with pytest.raises(DomainError, match="budget"):
+        gamma.s_generators(2**31, 2**32)
+    assert built == []
+    assert len(gamma.s_generators(3, 20)) == len(built) == 4
 
 
 # --- basis enumeration ----------------------------------------------------
@@ -356,12 +375,12 @@ def test_axiom_suite_clean():
 # --- nilpotency probes ------------------------------------------------------
 
 def test_probe_gamma2_dies_in_indecomposables():
-    result = gamma.nilpotency_probe("gamma2", x(4), 5)
+    result = gamma.nilpotency_probe(0, x(4), 5)
     assert result.status == "nilpotent" and result.order == 1
 
 
 def test_probe_andre_on_x3():
-    result = gamma.nilpotency_probe("andre", x(3), 4)
+    result = gamma.nilpotency_probe(1, x(3), 4)
     assert result.status == "nonvanishing"
     assert result.trajectory[1] == elem(x(3, 1, (2,)))
     assert result.trajectory[2] == elem(x(3, 1, (4, 2)))
@@ -370,7 +389,7 @@ def test_probe_andre_on_x3():
 
 def test_probe_alpha_iterates_are_doubling_words():
     for n in range(3, 7):
-        result = gamma.nilpotency_probe(f"alpha:{n - 2}", x(n), 6)
+        result = gamma.nilpotency_probe(n - 2, x(n), 6)
         assert result.status == "nonvanishing"
         for s, step in enumerate(result.trajectory):
             assert step == elem(x(n, 1, wd.theta(s, 0)))
@@ -378,12 +397,12 @@ def test_probe_alpha_iterates_are_doubling_words():
 
 def test_probe_domain_boundary():
     with pytest.raises(DomainError):
-        gamma.nilpotency_probe("andre", x(2), 3)
+        gamma.nilpotency_probe(1, x(2), 3)
     with pytest.raises(DomainError):
-        gamma.nilpotency_probe("alpha:3", x(4), 3)
+        gamma.nilpotency_probe(3, x(4), 3)
     with pytest.raises(DomainError, match="K >= 0"):  # delta_5 on degree 4 would act as zero
-        gamma.nilpotency_probe("alpha:-1", x(4), 3)
+        gamma.nilpotency_probe(-1, x(4), 3)
+    with pytest.raises(exprs.ParseError):
+        exprs.parse_probe_kind("frobenius")
     with pytest.raises(DomainError):
-        gamma.nilpotency_probe("frobenius", x(4), 3)
-    with pytest.raises(DomainError):
-        gamma.nilpotency_probe("gamma2", x(3), -2)
+        gamma.nilpotency_probe(0, x(3), -2)

@@ -1,9 +1,11 @@
-"""Every module imports on its own in a fresh interpreter.
+"""Every module imports on its own in a fresh interpreter, and the layers import downward.
 
 A load-time import cycle between the layers shows up as an ImportError for
-whichever module of the cycle is imported first.
+whichever module of the cycle is imported first.  A cycle deferred into a
+function body does not, so the layering test reads every import statement.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -34,3 +36,33 @@ def test_cli_start_up_skips_heavy_stdlib_modules():
                             capture_output=True, text=True, env=ENV, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+# Each module may import only modules listed before it.
+LAYERS = ["__init__", "errors", "f2", "words", "artin", "gamma", "e1", "exprs", "cli", "__main__"]
+
+
+def _package_imports(tree: ast.AST) -> set[str]:
+    """The deltacalc modules an AST imports, at any depth, function bodies included."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            # "from . import x" and "from .x import y" are relative to deltacalc
+            source = ".".join(filter(None, ["deltacalc" if node.level else "", node.module]))
+            if source == "deltacalc":
+                found |= {a.name for a in node.names}
+            elif source.startswith("deltacalc."):
+                found.add(source.split(".")[1])
+        elif isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names
+                      if a.name.startswith("deltacalc.")}
+    return found
+
+
+def test_layers_import_only_the_layers_below():
+    assert sorted(LAYERS) == MODULES
+    for module in LAYERS:
+        tree = ast.parse((SRC / "deltacalc" / f"{module}.py").read_text())
+        below = LAYERS[:LAYERS.index(module)]
+        above = sorted(_package_imports(tree) - set(below))
+        assert not above, f"{module} imports {above}, not below it in {LAYERS}"

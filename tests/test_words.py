@@ -304,6 +304,14 @@ def test_annihilation_order_matches_reduce_of_the_whole_word():
         assert wd.annihilation_order(j, 2, s_max=expected - 1) is None, j
 
 
+def test_annihilation_order_is_the_popcount_of_the_offset():
+    # an observed closed form, not a theorem: theta(s, t) kills delta_(2^t + o)
+    # first at s = the number of 1 bits of o
+    for t in range(8):
+        for o in range(1, 513):
+            assert wd.annihilation_order(2**t + o, t) == o.bit_count(), (t, o)
+
+
 def test_annihilation_existence_desk_scale():
     for t in range(4):
         for j in range(2**t + 1, 2**t + 13):
