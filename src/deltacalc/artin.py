@@ -30,17 +30,19 @@ from itertools import product
 from math import prod
 from operator import add, ge
 
-from .errors import DomainError
+from .errors import Budget, DomainError
 from .f2 import binom_mod2, check_index
 
 RingElement = frozenset  # frozenset[tuple[int, ...]] of normal-form exponent vectors
 
-# Largest search: the box below the pure powers that normal_monomials lists,
-# and the corner candidates times the relations each is tested against in
-# m_index.  On one core of a 2-vCPU machine, listing a box of this size takes
-# 2-7 s (one to four variables) and about 110 MB peak; the corner tests at
-# the limit take about 1 s.
-NORMAL_BOX_LIMIT = 1_000_000
+# The box below the pure powers that normal_monomials lists.  On one core of
+# a 2-vCPU machine, listing a box of this size takes 2-7 s (one to four
+# variables) and about 110 MB peak.
+EXPONENT_BOX_BUDGET = Budget("exponent box monomials", 1_000_000)
+
+# The corner candidates of m_index times the relations each is tested
+# against; the corner tests at the limit take about 1 s.
+CORNER_GRID_BUDGET = Budget("staircase corner candidates x relations", 1_000_000)
 
 # Largest mixed element that exprs.parse_mixed_element reads: coefficient
 # monomials times relations, each monomial being tested against every
@@ -48,7 +50,7 @@ NORMAL_BOX_LIMIT = 1_000_000
 # s = 4 takes 1.2-1.7 s on one core of a 2-vCPU machine for one 500-monomial
 # coefficient over GF(2)[t]/(t^1000000), since each squaring forms all
 # pairwise products of the monomials.
-ELEMENT_WORK_LIMIT = 500
+ELEMENT_BUDGET = Budget("coefficient monomials x relations", 500)
 
 # Largest divided-power expansion, the work gr_gammas counts as it goes: k
 # for the k + 1 powers it returns, plus |a| * |b| * max(1, relations) for
@@ -56,12 +58,21 @@ ELEMENT_WORK_LIMIT = 500
 # 3k - 1; at the limit, gamma_100000(x3) takes about 2.9 s and 285 MB peak on
 # one core of a 2-vCPU machine.  One squaring of a 500-monomial coefficient
 # over GF(2)[t]/(t^1000000) costs 251,002.
-EXPANSION_WORK_LIMIT = 300_000
+EXPANSION_BUDGET = Budget(
+    "divided-power work: k + |a| x |b| x max(1, relations) per ring product", 300_000)
 
 # Most trials of one axiom suite.  A trial of the two suites the CLI runs
 # takes about 0.4 ms on one core of a 2-vCPU machine, so the limit is about
 # 4-5 s.
-AXIOM_TRIAL_LIMIT = 10_000
+AXIOM_TRIAL_BUDGET = Budget("axiom trials", 10_000)
+
+# Monomial pairs of the CLI's ring-mul times the relations each product is
+# tested against.  ring_multiply itself is unbudgeted: the divided-power
+# engine and the axiom suites call it for every product they form.  At the
+# limit, 707 x 707 monomials over two variables, all products distinct, take
+# 3.9 s and 141 MB end to end on one core of a 2-vCPU machine, most of it
+# printing the product.
+PRODUCT_BUDGET = Budget("monomial pairs |a| x |b| x max(1, relations)", 1_000_000)
 
 
 class ArtinRing:
@@ -123,14 +134,11 @@ class ArtinRing:
     def normal_monomials(self) -> list[tuple[int, ...]]:
         """Every normal-form monomial, the unit included, in exponent order.
 
-        The search runs over the box below the pure-power relations; a box
-        of more than NORMAL_BOX_LIMIT exponent vectors raises DomainError.
+        The search runs over the box below the pure-power relations, checked
+        against EXPONENT_BOX_BUDGET before the search.
         """
         bounds = self.pure_powers
-        box = prod(bounds)
-        if box > NORMAL_BOX_LIMIT:
-            raise DomainError(f"the ring's exponent box has {box} monomials; "
-                              f"the budget is {NORMAL_BOX_LIMIT}")
+        EXPONENT_BOX_BUDGET.check(prod(bounds))
         return [m for m in product(*(range(b) for b in bounds)) if self.is_normal(m)]
 
 
@@ -167,16 +175,12 @@ def m_index(ring: ArtinRing) -> int:
     m + e_i and not m, so r_i = m_i + 1: every coordinate of m is r_i - 1
     for a relation r with r_i > 0, and it lies below the pure power of its
     variable.  The grid of those candidates is searched with is_normal,
-    which tests a candidate against every relation; DomainError is raised
-    when candidates times relations exceeds NORMAL_BOX_LIMIT.
+    which tests a candidate against every relation; candidates times
+    relations are checked against CORNER_GRID_BUDGET before the search.
     """
     corners = [{r[k] - 1 for r in ring.relations if 0 < r[k] <= bound}
                for k, bound in enumerate(ring.pure_powers)]
-    grid = prod(len(c) for c in corners)
-    if grid * len(ring.relations) > NORMAL_BOX_LIMIT:
-        raise DomainError(f"the ring's staircase has {grid} corner candidates to test against "
-                          f"{len(ring.relations)} relations; the budget for candidates x "
-                          f"relations is {NORMAL_BOX_LIMIT}")
+    CORNER_GRID_BUDGET.check(prod(len(c) for c in corners) * len(ring.relations))
     return max(sum(m) for m in product(*corners) if ring.is_normal(m)) + 1
 
 
@@ -296,11 +300,6 @@ def _gr_unit(ring: ArtinRing) -> GammaOverR:
     return {frozenset(): ring.one()}
 
 
-def _over_budget(k: int) -> DomainError:
-    return DomainError(f"gamma_{k} needs more work than its budget of {EXPANSION_WORK_LIMIT} "
-                       "(k + monomials x monomials x relations per ring product)")
-
-
 def gr_gammas(ring: ArtinRing, elem: GammaOverR, k: int) -> list[GammaOverR]:
     """The divided powers [gamma_0, ..., gamma_k] over the ring, expanded through the axioms.
 
@@ -314,13 +313,12 @@ def gr_gammas(ring: ArtinRing, elem: GammaOverR, k: int) -> list[GammaOverR]:
     factor m = gamma_(2^e)(g), c^r = c^(r-1) * c times the factors of g at
     the bits of r << e, up to the first zero power; on two or more factors,
     zero for r >= 2.  DomainError for a degree-0 term when k >= 2, and
-    before a ring product that takes the work past EXPANSION_WORK_LIMIT.
+    before a ring product that takes the work past EXPANSION_BUDGET.
     """
     if k < 0:
         raise DomainError(f"negative divided power {k}")
-    work, limit, weight = k, EXPANSION_WORK_LIMIT, max(1, len(ring.relations))
-    if work > limit:
-        raise _over_budget(k)
+    work, check, weight = k, EXPANSION_BUDGET.check, max(1, len(ring.relations))
+    check(work)
     powers = [_gr_unit(ring)]
     for mono, coef in elem.items():
         if k >= 2 and not mono:
@@ -331,8 +329,7 @@ def gr_gammas(ring: ArtinRing, elem: GammaOverR, k: int) -> list[GammaOverR]:
             power = coef
             for r in range(2, k + 1):
                 work += len(power) * len(coef) * weight
-                if work > limit:
-                    raise _over_budget(k)
+                check(work)
                 power = ring_multiply(ring, power, coef)
                 if not power:
                     break
@@ -348,8 +345,7 @@ def gr_gammas(ring: ArtinRing, elem: GammaOverR, k: int) -> list[GammaOverR]:
                 for mp, cp in powers[j - r].items():
                     if not mh & mp:
                         work += cost * len(cp)
-                        if work > limit:
-                            raise _over_budget(k)
+                        check(work)
                         add_term(out, mh | mp, ring_multiply(ring, ch, cp))
         while not powers[-1]:
             powers.pop()
@@ -367,7 +363,7 @@ def gamma2_oracle_expand(w: MixedElement, s: int) -> GammaOverR:
     No shortcut modulo decomposables is taken; this is the independent
     check for the closed-form index.  Bounded to 0 <= s <= 4 and at most
     6 terms to keep the expansion at desk scale; each squaring is bounded
-    by gr_gammas's EXPANSION_WORK_LIMIT, which raises DomainError.
+    by gr_gammas's EXPANSION_BUDGET, which raises DomainError.
     """
     if not 0 <= s <= 4 or len(w.terms) > 6:
         raise DomainError("oracle expansion is limited to 0 <= s <= 4 and <= 6 terms")
@@ -420,8 +416,7 @@ def axiom_suite(ring: ArtinRing, sample, scalars, max_k: int, trials: int,
     """
     if trials < 0:
         raise DomainError(f"trial count must be >= 0, got {trials}")
-    if trials > AXIOM_TRIAL_LIMIT:
-        raise DomainError(f"{trials} trials are over the budget of {AXIOM_TRIAL_LIMIT:,}")
+    AXIOM_TRIAL_BUDGET.check(trials)
     rng = random.Random(seed)
     checked = {a: 0 for a in AXIOM_NAMES}
     failures = {a: 0 for a in AXIOM_NAMES}

@@ -20,6 +20,26 @@ EXIT_DOMAIN = 4
 EXIT_RANGE = 5
 EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by it
 
+# Every size budget, after the commands it bounds; --help states each one's
+# measure and limit as its module declares them.
+_BUDGETS = (
+    ("reduce, compose, annihilate, and act, probe per monomial", wd.ADEM_BUDGET),
+    ("compose", wd.PRODUCT_BUDGET),
+    ("sbasis, e1", gamma.COUNT_BUDGET),
+    ("sgens", gamma.GENERATOR_BUDGET),
+    ("e1 text output", e1.TEXT_ROW_BUDGET),
+    ("m-index, nilpotency", artin.CORNER_GRID_BUDGET),
+    ("nilpotency --element", artin.ELEMENT_BUDGET),
+    ("act, --oracle", artin.EXPANSION_BUDGET),
+    ("act --on products", gamma.PRODUCT_BUDGET),
+    ("ring-mul", artin.PRODUCT_BUDGET),
+    ("axioms", artin.AXIOM_TRIAL_BUDGET),
+    ("axioms' ring sampler", artin.EXPONENT_BOX_BUDGET),
+)
+_BUDGET_LINES = "".join(
+    f"  {cmds:<20} {b.measure} <= {b.limit:,}\n" if len(cmds) <= 20
+    else f"  {cmds}\n{'':23}{b.measure} <= {b.limit:,}\n" for cmds, b in _BUDGETS)
+
 _EPILOG = f"""\
 exit codes:
   0  success
@@ -32,16 +52,7 @@ exit codes:
   141  stdout closed by its reader before all the output was written
 
 size budgets (exit 4 above them):
-  reduce, compose, annihilate, and act, probe per monomial
-                       Adem terms scanned + new products formed <= {wd.ADEM_WORK_LIMIT:,}
-  sbasis, e1           gamma factors x table cells <= {gamma.COUNT_WORK_LIMIT:,}
-  sgens                generators listed <= {gamma.GENERATOR_LIMIT:,}
-  e1 text output       table rows <= {e1.TEXT_ROW_LIMIT:,}
-  m-index, nilpotency  staircase corner candidates x relations <= {artin.NORMAL_BOX_LIMIT:,}
-  nilpotency --element coefficient monomials x relations <= {artin.ELEMENT_WORK_LIMIT:,}
-  act, --oracle        gamma_k: k + |a| x |b| x relations per ring product a*b <= {artin.EXPANSION_WORK_LIMIT:,}
-  axioms               trials <= {artin.AXIOM_TRIAL_LIMIT:,}
-
+{_BUDGET_LINES}
 JSON outputs follow the schemas shipped in docs/.
 """
 
@@ -57,13 +68,17 @@ def _arg_text(value: str, what: str) -> str:
         raise DomainError(f"cannot read {what} file {value!r}: {err}") from err
 
 
-def _int(text: str) -> int:
-    """argparse's int for an option, showing at most 40 characters of a value it refuses."""
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text[:40]!r}"
-                                         + ("..." if len(text) > 40 else "")) from None
+def _one_line(message: str) -> str:
+    """An error line cut to 200 characters: values can be long."""
+    return message if len(message) <= 200 else message[:197] + "..."
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse, with its error line cut as main cuts its own; subparsers are of this class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, _one_line(f"{self.prog}: error: {message}") + "\n")
 
 
 def _axiom_report_json(report: artin.AxiomReport) -> dict:
@@ -179,8 +194,10 @@ def _cmd_e1(args):
 
 def _cmd_ring_mul(args):
     ring = exprs.parse_ring(_arg_text(args.ring, "ring"))
-    product = artin.ring_multiply(ring, exprs.parse_ring_element(args.left, ring),
-                                  exprs.parse_ring_element(args.right, ring))
+    left = exprs.parse_ring_element(args.left, ring)
+    right = exprs.parse_ring_element(args.right, ring)
+    artin.PRODUCT_BUDGET.check(len(left) * len(right) * max(1, len(ring.relations)))
+    product = artin.ring_multiply(ring, left, right)
     text = exprs.format_ring_element(product, ring)
     return {"element": text}, text
 
@@ -242,7 +259,7 @@ def _cmd_axioms(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="deltacalc",
         description="Symbolic calculator for mod-2 higher divided squares: "
         "Adem rewriting, divided power bases, first-page tables, and "
@@ -252,14 +269,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="output format (default: text)")
-    parser.add_argument("--seed", type=_int, default=0,
+    parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized verification commands")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
     def cmd(name, handler, help_, configure):
         p = sub.add_parser(name, help=help_)
         p.add_argument("--format", choices=("text", "json"), default=argparse.SUPPRESS)
-        p.add_argument("--seed", type=_int, default=argparse.SUPPRESS)
+        p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
         configure(p)
         p.set_defaults(handler=handler)
 
@@ -271,38 +288,38 @@ def build_parser() -> argparse.ArgumentParser:
         lambda p: p.add_argument("word"))
 
     def conf_annihilate(p):
-        p.add_argument("--j", type=_int, required=True)
-        p.add_argument("--t", type=_int, required=True)
-        p.add_argument("--max-s", type=_int, default=16, dest="max_s")
+        p.add_argument("--j", type=int, required=True)
+        p.add_argument("--t", type=int, required=True)
+        p.add_argument("--max-s", type=int, default=16, dest="max_s")
     cmd("annihilate", _cmd_annihilate,
         "least s with theta(s,t) * delta_j reducing to zero", conf_annihilate)
 
     def conf_theta(p):
-        p.add_argument("--s", type=_int, required=True)
-        p.add_argument("--t", type=_int, required=True)
+        p.add_argument("--s", type=int, required=True)
+        p.add_argument("--t", type=int, required=True)
     cmd("theta", _cmd_theta, "the doubling composite theta(s,t)", conf_theta)
 
     def conf_a2d(p):
         p.add_argument("--word", required=True,
                        help="alpha indices as comma-separated decimal integers, "
                        "e.g. 1,0, applied rightmost first")
-        p.add_argument("--degree", type=_int, required=True)
+        p.add_argument("--degree", type=int, required=True)
     cmd("alpha2delta", _cmd_alpha2delta, "convert an alpha word on a given degree",
         conf_a2d)
 
     def conf_sgens(p):
-        p.add_argument("--n", type=_int, required=True)
-        p.add_argument("--max-degree", type=_int, required=True, dest="max_degree")
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--max-degree", type=int, required=True, dest="max_degree")
     cmd("sgens", _cmd_sgens, "free divided-power generators on x_n", conf_sgens)
 
     def conf_sbasis(p):
         p.add_argument("--hq", required=True, help="graded dims (inline JSON or a file)")
-        p.add_argument("--max-degree", type=_int, required=True, dest="max_degree")
+        p.add_argument("--max-degree", type=int, required=True, dest="max_degree")
         p.add_argument("--by-weight", action="store_true", dest="by_weight")
     cmd("sbasis", _cmd_sbasis, "basis dimensions of the free algebra", conf_sbasis)
 
     def conf_act(p):
-        p.add_argument("--i", type=_int, required=True)
+        p.add_argument("--i", type=int, required=True)
         p.add_argument("--on", required=True)
     cmd("act", _cmd_act, "apply delta_i to an element", conf_act)
 
@@ -310,12 +327,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--kind", required=True, help="gamma2 | andre | alpha:K (K an integer): "
                        "iterate delta_(deg-K); gamma2 is alpha:0, andre alpha:1")
         p.add_argument("--gen", required=True)
-        p.add_argument("--max-iter", type=_int, required=True, dest="max_iter")
+        p.add_argument("--max-iter", type=int, required=True, dest="max_iter")
     cmd("probe", _cmd_probe, "iterate an operation on the indecomposables", conf_probe)
 
     def conf_e1(p):
         p.add_argument("--hq", required=True, help="graded dims (inline JSON or a file)")
-        p.add_argument("--max-t", type=_int, required=True, dest="max_t")
+        p.add_argument("--max-t", type=int, required=True, dest="max_t")
     cmd("e1", _cmd_e1, "first-page dimension table", conf_e1)
 
     def conf_ring_mul(p):
@@ -331,11 +348,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ring", required=True)
         p.add_argument("--element", required=True, help="mixed element JSON")
         p.add_argument("--oracle", action="store_true")
-        p.add_argument("--s", type=_int, default=2)
+        p.add_argument("--s", type=int, default=2)
     cmd("nilpotency", _cmd_nilpotency,
         "divided-square nilpotency index of a mixed element", conf_nilpotency)
     cmd("axioms", _cmd_axioms, "fuzz the divided power axioms",
-        lambda p: p.add_argument("--trials", type=_int, default=200))
+        lambda p: p.add_argument("--trials", type=int, default=200))
 
     return parser
 
@@ -351,8 +368,7 @@ def main(argv=None) -> int:
         if args.format == "text" and callable(text):
             text = text()
     except ValueError as err:  # ParseError, RangeError and DomainError among them
-        message = f"deltacalc: {err}"  # one line, cut to 200 characters: values can be long
-        print(message if len(message) <= 200 else message[:197] + "...", file=sys.stderr)
+        print(_one_line(f"deltacalc: {err}"), file=sys.stderr)
         if isinstance(err, exprs.ParseError):
             return EXIT_SYNTAX
         return EXIT_RANGE if isinstance(err, RangeError) else EXIT_DOMAIN

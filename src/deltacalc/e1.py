@@ -9,7 +9,7 @@ read off a list of basis monomials.
 
 from __future__ import annotations
 
-from .errors import DomainError
+from .errors import Budget, DomainError
 from .f2 import GradedDims
 from .gamma import basis_counts
 from .gamma import s_basis  # noqa: F401  unused here; perfbench/traced_child.py wraps e1.s_basis
@@ -20,7 +20,7 @@ from .gamma import s_basis  # noqa: F401  unused here; perfbench/traced_child.py
 # core of a 2-vCPU machine.  A generator in range puts some factor of degree
 # above max_t / 2 in the pool, so the counting budget alone keeps such tables
 # under 20,000 rows; only a page with no generator in range reaches the limit.
-TEXT_ROW_LIMIT = 1_000_000
+TEXT_ROW_BUDGET = Budget("text table rows", 1_000_000)
 
 
 class E1Table:
@@ -46,10 +46,7 @@ class E1Table:
         }
 
     def render_text(self) -> str:
-        if self.max_t + 1 > TEXT_ROW_LIMIT:
-            raise DomainError(f"the text table through t = {self.max_t} has {self.max_t + 1:,} "
-                              f"rows; the budget is {TEXT_ROW_LIMIT:,} (JSON lists the nonzero "
-                              f"entries only)")
+        TEXT_ROW_BUDGET.check(self.max_t + 1)
         max_s = max((s for s, _ in self.entries), default=0)
         width = max(3, max(len(str(d)) for d in self.entries.values()) + 1) if self.entries else 3
         header = "t\\s" + "".join(f"{s:>{width}}" for s in range(max_s + 1))

@@ -340,8 +340,8 @@ def parse_ring(text: str) -> artin.ArtinRing:
 
 
 def parse_mixed_element(text: str, ring: artin.ArtinRing) -> artin.MixedElement:
-    """A mixed element over the ring, docs/mixed-element.schema.json; DomainError, before any
-    ring arithmetic, when its monomials times the relations exceed artin.ELEMENT_WORK_LIMIT."""
+    """A mixed element over the ring, docs/mixed-element.schema.json; its monomials times the
+    relations are checked against artin.ELEMENT_BUDGET before any ring arithmetic."""
     terms = _load_json(text, "mixed element")
     if not (isinstance(terms, list) and all(
             isinstance(t, dict) and set(t) == {"coef", "gen"}
@@ -349,11 +349,7 @@ def parse_mixed_element(text: str, ring: artin.ArtinRing) -> artin.MixedElement:
         raise ParseError('a mixed element is a list of {"coef": ring element, "gen": name}',
                          text, 0)
     parsed = [(_ring_monomials(t["coef"], ring.variables), t["gen"]) for t in terms]  # uncancelled
-    monomials = sum(len(monos) for monos, _ in parsed)
-    if monomials * len(ring.relations) > artin.ELEMENT_WORK_LIMIT:
-        raise DomainError(f"the element has {monomials} coefficient monomials against "
-                          f"{len(ring.relations)} relations; the budget for coefficient "
-                          f"monomials x relations is {artin.ELEMENT_WORK_LIMIT}")
+    artin.ELEMENT_BUDGET.check(sum(len(monos) for monos, _ in parsed) * len(ring.relations))
     return artin.MixedElement(ring, tuple((ring.element(monos), gen) for monos, gen in parsed))
 
 

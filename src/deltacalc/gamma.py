@@ -35,7 +35,7 @@ from itertools import islice
 
 from . import artin
 from . import words as wd
-from .errors import DomainError
+from .errors import Budget, DomainError
 from .f2 import GradedDims
 
 Monomial = frozenset  # frozenset[tuple[FreeGenerator, int]]
@@ -130,8 +130,18 @@ def element_degree(elem: Element) -> int | None:
 _F2_ONE = artin.F2.one()
 
 
+# Factors of the monomial pairs that one product forms, each pair counted as
+# |ma| + |mb|, checked before the first is formed.  Pairs alone would not
+# bound it: a monomial may have thousands of factors.  Memory sets the limit.
+# Just past it (1,082,830), atoms of 1,085 and 499 one-factor terms take 2.7 s
+# and 373 MB end to end on one core of a 2-vCPU machine.  A product of 15
+# two-term atoms counts 491,520.
+PRODUCT_BUDGET = Budget("factors of the monomial pairs |a| x |b|", 1_000_000)
+
+
 def multiply(a: Element, b: Element) -> Element:
     """Bilinear product; monomials sharing a factor multiply to zero."""
+    PRODUCT_BUDGET.check(len(b) * sum(map(len, a)) + len(a) * sum(map(len, b)))
     return frozenset(artin.gr_multiply(artin.F2, dict.fromkeys(a, _F2_ONE),
                                        dict.fromkeys(b, _F2_ONE)))
 
@@ -142,7 +152,7 @@ def gamma_power(elem: Element, k: int) -> Element:
     General k splits along the binary expansion on single factors and
     distributes over sums; gamma_k of a product of two positive-degree
     elements vanishes for k >= 2.  The expansion is artin.gr_gamma's, which
-    raises DomainError past its EXPANSION_WORK_LIMIT.
+    counts its work against artin.EXPANSION_BUDGET.
     """
     return frozenset(artin.gr_gamma(artin.F2, dict.fromkeys(elem, _F2_ONE), k))
 
@@ -265,22 +275,20 @@ def _generator_words(n: int, max_degree: int):
 # degree 320, 193,459 generators) `sgens` takes about 3 s and 140 MB end to
 # end on one core of a 2-vCPU machine; x50 through degree 1000 would have
 # 43 million.
-GENERATOR_LIMIT = 200_000
+GENERATOR_BUDGET = Budget("generators listed", 200_000)
 
 
 def s_generators(n: int, max_degree: int) -> list[FreeGenerator]:
     """All generators delta_I(x_n) with e(I) < n and degree <= max_degree.
 
-    Includes x_n itself (the empty word); sorted by degree, then word.  A
-    list that would pass GENERATOR_LIMIT raises DomainError once its words
-    are counted, before any generator is built.
+    Includes x_n itself (the empty word); sorted by degree, then word.  The
+    words are counted against GENERATOR_BUDGET, up to one past its limit,
+    before any generator is built.
     """
     if n < 1:
         raise DomainError(f"generator degree must be >= 1, got {n}")
-    words = list(islice(_generator_words(n, max_degree), GENERATOR_LIMIT + 1))
-    if len(words) > GENERATOR_LIMIT:
-        raise DomainError(f"x{n} has more than {GENERATOR_LIMIT} generators through "
-                          f"degree {max_degree}; the budget is {GENERATOR_LIMIT}")
+    words = list(islice(_generator_words(n, max_degree), GENERATOR_BUDGET.limit + 1))
+    GENERATOR_BUDGET.check(len(words))
     gens = [FreeGenerator(n, 1, w) for w in words]
     gens.sort(key=lambda g: g.sort_key)
     return gens
@@ -369,7 +377,7 @@ def graded_tables(counts) -> tuple[GradedDims, dict[int, GradedDims]]:
 # factor degrees, whichever is lower.  The largest accepted requests take
 # about 4 s on one core of a 2-vCPU machine, e.g. {"1":2,"2":2,"3":2,"4":2}
 # through degree 519.
-COUNT_WORK_LIMIT = 50_000_000
+COUNT_BUDGET = Budget("gamma factors x table cells", 50_000_000)
 
 
 def basis_counts(gens, max_degree: int) -> dict[tuple[int, int], int]:
@@ -378,9 +386,9 @@ def basis_counts(gens, max_degree: int) -> dict[tuple[int, int], int]:
     ``gens`` is as for ``s_basis``, whose tally this equals.  A monomial uses
     each factor gamma_{2^e}(g) at most once, so the table is the coefficient
     table of prod (1 + w^weight q^degree) over the factor pool, folded in one
-    factor at a time as a 0/1 knapsack over degree.  A request whose pool
-    size times table cells exceeds COUNT_WORK_LIMIT raises DomainError before
-    the knapsack runs.
+    factor at a time as a 0/1 knapsack over degree.  The pool size times the
+    table cells is checked against COUNT_BUDGET as the pool grows, before the
+    knapsack runs.
     """
     pool: list[tuple[int, int, int]] = []  # (weight, degree, copies)
     size = reach = top = 0  # factors, sum of their degrees, highest degree in the table
@@ -390,12 +398,7 @@ def basis_counts(gens, max_degree: int) -> dict[tuple[int, int], int]:
         size += mult
         reach += degree * mult
         top = min(max_degree, reach)
-        cells = (top + 1) * (top + 2) // 2  # weight <= degree
-        if size * cells > COUNT_WORK_LIMIT:
-            raise DomainError(
-                f"counting the basis through degree {max_degree} needs at least {size} "
-                f"gamma factors on {cells} table cells; the budget is "
-                f"{COUNT_WORK_LIMIT} factor-cells")
+        COUNT_BUDGET.check(size * ((top + 1) * (top + 2) // 2))  # cells: weight <= degree
     if max_degree < 0:
         return {}
 

@@ -1,10 +1,10 @@
 import gc
+import importlib
 import io
 import json
 import os
 import random
 import re
-from collections import Counter
 from math import comb
 import subprocess
 import sys
@@ -18,6 +18,7 @@ from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
 from deltacalc import cli
+from deltacalc.errors import Budget
 
 DOCS = Path(__file__).parent.parent / "docs"
 
@@ -121,6 +122,14 @@ def test_exit_codes(monkeypatch):
     assert code == 2
     code, _, _ = run_cli([])
     assert code == 2
+    # argparse's own error line is cut to 200 characters, as main cuts its own; the
+    # usage line stays.  At 5,000 digits int() refuses the value, argparse says so.
+    for argv in (["--format", "x" * 300, "reduce", "d4"], ["reduce", "d4", "y" * 300],
+                 ["z" * 300], ["annihilate", "--j", "9" * 5000, "--t", "1"]):
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == "" and err.startswith("usage: "), (argv, err)
+        last = err.splitlines()[-1]
+        assert ": error: " in last and len(last) == 200 and last.endswith("..."), (argv, err)
     code, _, err = run_cli(["nilpotency", "--ring", '{"vars":["t"],"relations":["t^3"]}',
                             "--element", '[{"bad": "t"}]'])
     assert code == 3
@@ -180,14 +189,36 @@ def test_exit_codes(monkeypatch):
             (["axioms", "--trials", "100000000"], "budget"),
             # a row for every t, with no generator in range to count
             (["e1", "--hq", "{}", "--max-t", "4294967295"], "budget"),
+            # a count past Python's 4,300-digit limit on printing an integer is named by
+            # a power of two
+            (["sbasis", "--hq", f'{{"3":{"9" * 4299}}}', "--max-degree", "6"],
+             "gamma factors x table cells reached at least 2^14,285, over the budget of "
+             "50,000,000"),
+            # two bilinear products, each refused before its first pair (act's is below)
+            (["compose", " + ".join(f"d{k}" for k in range(10000, 12000)),
+              " + ".join(f"d{k}" for k in range(2, 2002))],
+             "word pairs |a| x |b| reached 4,000,000, over the budget of 80,000"),
+            (["ring-mul", "--ring", _UV_RING, " + ".join(f"u^{k}" for k in range(1, 2001)),
+              " + ".join(f"v^{k}" for k in range(1, 2001))],
+             "monomial pairs |a| x |b| x max(1, relations) reached 8,000,000, over the budget of "
+             "1,000,000"),
             # alpha_a is defined for 0 <= a <= m - 2 only
             (["probe", "--kind", "alpha:-1", "--gen", "x4", "--max-iter", "3"], "K >= 0"),
             # a 4,000-digit index reads as an integer, and its message is cut to one short line
             (["alpha2delta", "--word", "9" * 4000, "--degree", "3"], "alpha_9999")):
+        start = time.perf_counter()
         code, out, err = run_cli(argv)
+        assert time.perf_counter() - start < 2, argv
         assert code == 4 and out == "" and err.startswith("deltacalc: "), (argv, err)
         assert err.count("\n") == 1 and want in err and len(err) <= 201, (argv, err)
     monkeypatch.undo()
+    # the g20's of two four-term atoms, 1,771 monomials each, are formed with ring
+    # products over GF(2); their product is refused before its first pair
+    start = time.perf_counter()
+    assert run_cli(["act", "--i", "2", "--on", "g20(d11 d3 d11 x13)*g20(d11 d3 d11 x13:2)"]) == (
+        4, "", "deltacalc: factors of the monomial pairs |a| x |b| reached 38,111,920, "
+        "over the budget of 1,000,000\n")
+    assert time.perf_counter() - start < 2
     # JSON lists only the nonzero entries, so it has no row budget
     assert run_json(["e1", "--hq", "{}", "--max-t", "4294967295"])["entries"] == [
         {"s": 0, "t": 0, "dim": 1}]
@@ -287,14 +318,33 @@ def test_exit_codes(monkeypatch):
             assert err.count("\n") == 1 and len(err) <= 201, (argv, err)
 
 
+def declared_budgets() -> dict[str, Budget]:
+    """Every Budget a module of the package declares, by its qualified name."""
+    budgets = {}
+    for path in sorted((DOCS.parent / "src" / "deltacalc").glob("*.py")):
+        module = importlib.import_module(f"deltacalc.{path.stem}")
+        budgets.update((f"{path.stem}.{name}", value) for name, value in vars(module).items()
+                       if isinstance(value, Budget))
+    return budgets
+
+
 def test_every_budget_is_stated_in_help():
-    # each *_LIMIT constant of artin, gamma, e1 and words ends its own "<= value" line
-    limits = [getattr(mod, name) for mod in (cli.artin, cli.gamma, cli.e1, cli.wd)
-              for name in vars(mod) if name.endswith("_LIMIT")]
-    assert len(limits) >= 6
-    stated = Counter(re.findall(r"<= ([0-9,]+)$", cli._EPILOG, re.M))
-    needed = Counter(f"{limit:,}" for limit in limits)
-    assert all(stated[value] >= count for value, count in needed.items()), (needed, stated)
+    # each declared budget ends one line of --help, in its own measure's words
+    budgets = declared_budgets()
+    assert len(budgets) == 12, sorted(budgets)
+    lines = cli.build_parser().format_help().splitlines()
+    for name, budget in budgets.items():
+        stated = f"{budget.measure} <= {budget.limit:,}"
+        assert sum(line.endswith(stated) for line in lines) == 1, (name, stated)
+
+
+def test_every_budget_is_stated_in_readme():
+    # one row of README's budget table per declared budget: commands, measure, limit, time
+    readme = (DOCS.parent / "README.md").read_text()
+    rows = [line.replace("\\|", "|") for line in readme.splitlines() if line.startswith("| ")]
+    for name, budget in declared_budgets().items():
+        found = [row for row in rows if f"| `{budget.measure}` | {budget.limit:,} |" in row]
+        assert len(found) == 1, (name, budget.measure)
 
 
 def test_stats_and_theta_payloads(validators):
@@ -498,11 +548,44 @@ def _t_ring(e):
     return json.dumps({"vars": ["t"], "relations": [f"t^{e}"]})
 
 
+# Long inputs, each past its product budget: sums of 2,000 or more terms for compose
+# and ring-mul, and products of 20 or more two-term atoms for act.  Formed, these
+# products run for tens of seconds or past the address-space cap.  The first example
+# of each of these subcommands is long.
+_LONG = st.sampled_from((True, False, False))
+_TERMS = st.integers(2000, 3000)
+_UV_RING = json.dumps({"vars": ["u", "v"], "relations": ["u^2147483648", "v^2147483648"]})
+
+
+def _compose_argv(draw):
+    if draw(_LONG):
+        n = draw(_TERMS)
+        return [" + ".join(f"d{k}" for k in range(10000, 10000 + n)),
+                " + ".join(f"d{k}" for k in range(2, 2 + n))]
+    return [draw(_WORD), draw(_WORD)]
+
+
+def _act_argv(draw):
+    if draw(_LONG):
+        on = "*".join(f"d7 d9 x9:{q}" for q in range(1, draw(st.integers(20, 30)) + 1))
+    else:
+        on = f"{draw(_WORD)} x{draw(_EXTREME)}"
+    return [f"--i={draw(_EXTREME)}", "--on", on]
+
+
+def _ring_mul_argv(draw):
+    if draw(_LONG):
+        n = draw(_TERMS)
+        return ["--ring", _UV_RING, " + ".join(f"u^{k}" for k in range(1, n + 1)),
+                " + ".join(f"v^{k}" for k in range(1, n + 1))]
+    return ["--ring", _t_ring(draw(_EXTREME)), f"t^{draw(_EXTREME)}", f"t^{draw(_EXTREME)}"]
+
+
 # The arguments of each subcommand, built from draws.  "--opt=value" keeps argparse
 # from reading "-1" as an option.
 _EXTREME_ARGV = {
     "reduce": lambda draw: [draw(_WORD)],
-    "compose": lambda draw: [draw(_WORD), draw(_WORD)],
+    "compose": _compose_argv,
     "stats": lambda draw: [draw(_INDICES)],  # read, not rewritten
     "annihilate": lambda draw: [f"--{opt}={draw(_EXTREME)}" for opt in ("j", "t", "max-s")],
     "theta": lambda draw: [f"--{opt}={draw(_EXTREME)}" for opt in ("s", "t")],
@@ -512,11 +595,10 @@ _EXTREME_ARGV = {
                             f"--max-degree={draw(_EXTREME)}"],
     "e1": lambda draw: ["--hq", f'{{"{draw(_EXTREME)}":{draw(_EXTREME)}}}',
                         f"--max-t={draw(_EXTREME)}"],
-    "act": lambda draw: [f"--i={draw(_EXTREME)}", "--on", f"{draw(_WORD)} x{draw(_EXTREME)}"],
+    "act": _act_argv,
     "probe": lambda draw: ["--kind", f"alpha:{draw(_EXTREME)}", "--gen", f"x{draw(_EXTREME)}",
                            f"--max-iter={draw(_EXTREME)}"],
-    "ring-mul": lambda draw: ["--ring", _t_ring(draw(_EXTREME)), f"t^{draw(_EXTREME)}",
-                              f"t^{draw(_EXTREME)}"],
+    "ring-mul": _ring_mul_argv,
     "m-index": lambda draw: ["--ring", _t_ring(draw(_EXTREME))],
     "nilpotency": lambda draw: ["--ring", _t_ring(draw(_EXTREME)), "--element",
                                 '[{"coef":"t","gen":"x3"}]', "--oracle", f"--s={draw(_EXTREME)}"],

@@ -100,10 +100,10 @@ def test_s_generators_against_bruteforce(n, max_degree):
 
 def test_s_generators_refuse_over_budget(monkeypatch):
     # x3 through degree 20 has 4 generators: exactly at the limit is listed
-    monkeypatch.setattr(gamma, "GENERATOR_LIMIT", 4)
+    monkeypatch.setattr(gamma.GENERATOR_BUDGET, "limit", 4)
     assert len(gamma.s_generators(3, 20)) == 4
-    monkeypatch.setattr(gamma, "GENERATOR_LIMIT", 3)
-    with pytest.raises(DomainError, match="more than 3 generators.*budget"):
+    monkeypatch.setattr(gamma.GENERATOR_BUDGET, "limit", 3)
+    with pytest.raises(DomainError, match="^generators listed reached 4, over the budget of 3$"):
         gamma.s_generators(3, 20)
     # the word search itself and the counting stay unbudgeted by it
     assert len(list(gamma._generator_words(3, 20))) == 4
@@ -220,6 +220,19 @@ def test_delta_act_on_degree1_gamma_powers():
     g2 = gamma.gamma_power(x1, 2)
     assert gamma.delta_act(2, g2) == gamma.gamma_power(x1, 4)
     assert gamma.delta_act(3, gamma.gamma_power(x1, 4)) == gamma.ZERO
+
+
+def test_multiply_counts_the_factors_of_its_pairs_first(monkeypatch):
+    # a has monomials of 1 and 2 factors, b one of 1: 1 x (1 + 2) + 2 x 1 = 5
+    a = elem(x(3)) | gamma.multiply(elem(x(2)), elem(x(4)))
+    b = elem(x(5))
+    monkeypatch.setattr(gamma.PRODUCT_BUDGET, "limit", 5)
+    assert len(gamma.multiply(a, b)) == 2
+    monkeypatch.setattr(gamma.PRODUCT_BUDGET, "limit", 4)
+    monkeypatch.setattr(artin, "gr_multiply", None)
+    with pytest.raises(DomainError, match=r"^factors of the monomial pairs \|a\| x \|b\| "
+                       "reached 5, over the budget of 4$"):
+        gamma.multiply(a, b)
 
 
 def test_cartan_kills_products():
@@ -350,7 +363,7 @@ def test_gamma_power_refuses_over_budget(monkeypatch):
     for e, k in ((x3, 10**10), (gamma.ZERO, 10**10)):  # k alone, before any list is built
         with pytest.raises(DomainError, match="budget"):
             gamma.gamma_power(e, k)
-    monkeypatch.setattr(artin, "EXPANSION_WORK_LIMIT", 11)
+    monkeypatch.setattr(artin.EXPANSION_BUDGET, "limit", 11)
     assert gamma.gamma_power(x3, 4) == frozenset({frozenset({(x(3), 2)})})  # 11
     assert len(gamma.gamma_power(both, 2)) == 3  # 9
     assert gamma.gamma_power(gamma.ZERO, 11) == gamma.ZERO  # 11

@@ -1,4 +1,5 @@
-"""Every module imports on its own in a fresh interpreter, and the layers import downward.
+"""Every module imports on its own in a fresh interpreter, the layers import downward,
+and only errors.Budget words a budget refusal.
 
 A load-time import cycle between the layers shows up as an ImportError for
 whichever module of the cycle is imported first.  A cycle deferred into a
@@ -66,3 +67,30 @@ def test_layers_import_only_the_layers_below():
         below = LAYERS[:LAYERS.index(module)]
         above = sorted(_package_imports(tree) - set(below))
         assert not above, f"{module} imports {above}, not below it in {LAYERS}"
+
+
+def _error_texts(tree: ast.AST):
+    """The string constants of every raise, and of every call to a name ending in Error."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(
+                node.func, "id", "")
+            if not func.endswith("Error"):
+                continue
+        elif not isinstance(node, ast.Raise):
+            continue
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                yield node.lineno, sub.value
+
+
+def test_only_errors_words_a_budget_refusal():
+    # a refusal over a size budget is Budget.check's; any other error text that
+    # mentions a budget is a second, hand-made wording of it
+    found = set()
+    for module in MODULES:
+        if module != "errors":
+            tree = ast.parse((SRC / "deltacalc" / f"{module}.py").read_text())
+            found |= {(module, line) for line, text in _error_texts(tree)
+                      if "budget" in text.lower()}
+    assert not found, f"budget refusals worded outside errors.Budget: {sorted(found)}"

@@ -237,6 +237,18 @@ def test_compose_unit_and_examples():
     assert wd.compose(frozenset({(5,)}), frozenset({(4,)})) == frozenset({(6, 3)})
 
 
+def test_compose_counts_its_word_pairs_first(monkeypatch):
+    # 2 x 3 pairs: at the limit the product is formed, one below it nothing is reduced
+    a, b = frozenset({(5,), (8,)}), frozenset({(4,), (3,), (2,)})
+    monkeypatch.setattr(wd.PRODUCT_BUDGET, "limit", 6)
+    assert wd.compose(a, b) == wd.reduce([u + v for u in a for v in b])
+    monkeypatch.setattr(wd.PRODUCT_BUDGET, "limit", 5)
+    monkeypatch.setattr(wd, "_normal_sum", None)
+    with pytest.raises(DomainError, match=r"^word pairs \|a\| x \|b\| reached 6, "
+                       "over the budget of 5$"):
+        wd.compose(a, b)
+
+
 elements = st.lists(
     st.lists(st.integers(2, 16), max_size=3).map(tuple), max_size=2
 ).map(lambda ws: frozenset(wd.reduce(ws)))
@@ -310,6 +322,24 @@ def test_annihilation_order_is_the_popcount_of_the_offset():
     for t in range(8):
         for o in range(1, 513):
             assert wd.annihilation_order(2**t + o, t) == o.bit_count(), (t, o)
+
+
+def _assert_popcount_order(t, o):
+    assert o.bit_count() + t < 32  # so the search stays below 2^32 and no draw is skipped
+    assert wd.annihilation_order(2**t + o, t) == o.bit_count(), (t, o)
+
+
+@given(st.integers(8, 20), st.integers(1, 511))
+@settings(max_examples=50, deadline=None, derandomize=True)
+def test_annihilation_order_is_the_popcount_at_larger_t(t, o):
+    _assert_popcount_order(t, o)
+
+
+# an offset above 511 costs up to a second cold, so only a few are drawn
+@given(st.integers(8, 19), st.integers(512, 4095))
+@settings(max_examples=4, deadline=None, derandomize=True)
+def test_annihilation_order_is_the_popcount_at_larger_offsets(t, o):
+    _assert_popcount_order(t, o)
 
 
 def test_annihilation_existence_desk_scale():
