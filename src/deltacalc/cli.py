@@ -32,6 +32,7 @@ _BUDGETS = (
     ("nilpotency --element", artin.ELEMENT_BUDGET),
     ("act, --oracle", artin.EXPANSION_BUDGET),
     ("act --on products", gamma.PRODUCT_BUDGET),
+    ("ring-mul per factor", artin.RING_ELEMENT_BUDGET),
     ("ring-mul", artin.PRODUCT_BUDGET),
     ("axioms", artin.AXIOM_TRIAL_BUDGET),
     ("axioms' ring sampler", artin.EXPONENT_BOX_BUDGET),

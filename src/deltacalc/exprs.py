@@ -286,8 +286,13 @@ def _ring_monomials(text: str, variables: tuple[str, ...]) -> list[tuple[int, ..
 
 
 def parse_ring_element(text: str, ring: artin.ArtinRing) -> artin.RingElement:
-    """A ring element in normal form: its monomials summed over GF(2), relations dropped."""
-    return ring.element(_ring_monomials(text, ring.variables))
+    """A ring element in normal form: its monomials summed over GF(2), relations dropped.
+
+    The monomials, counted before they cancel, times the relations are checked
+    against artin.RING_ELEMENT_BUDGET before any is tested."""
+    monomials = _ring_monomials(text, ring.variables)
+    artin.RING_ELEMENT_BUDGET.check(len(monomials) * len(ring.relations))
+    return ring.element(monomials)
 
 
 def _load_json(text: str, what: str):

@@ -263,9 +263,10 @@ def _generator_words(n: int, max_degree: int):
     def extend(word: wd.Word, total: int):
         yield word
         lo = 2 * word[0] if word else 2
-        # prepending i gives excess i - total, so i < total + n keeps it below n
+        # prepending i gives excess i - total, so i < total + n keeps it below n;
+        # indices double along a word, so the check ends the recursion by depth 32
         for i in range(lo, min(total + n - 1, budget - total) + 1):
-            yield from extend((i,) + word, total + i)
+            yield from extend((wd.check_delta(i),) + word, total + i)
 
     if budget >= 0:
         yield from extend((), 0)

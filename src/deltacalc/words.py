@@ -16,6 +16,17 @@ membership is a mod-2 coefficient and addition is symmetric difference.
 Every delta index, whether read, passed in, or formed by rewriting, theta
 or alpha conversion, goes through ``check_delta``: at least 2, below 2^32.
 
+Before any rewriting, a word is dropped when either of two tests shows it
+is zero.  Each Adem relation keeps length 2 and degree i + j, so the
+algebra is graded by length and degree, and the admissible words of one
+length and degree are a basis of that piece.  An admissible word of length
+p has indices at least 2, 4, ..., 2^p from the right, so degree at least
+2^(p+1) - 2: a run of p adjacent indices whose sum is below that is zero,
+and so is every word that contains it (the window bound).  Likewise a
+strictly inadmissible adjacent pair with no Adem terms is zero (the zero
+pair).  Indices stay below 2^32, so every run of 37 indices sums below
+2^38 - 2, and every word of length 37 or more is zero.
+
 A word reduces right to left, multiplying a sum of admissible words on
 the left by one index at a time.  delta_i times an admissible ``(j, *t)``
 is ``(i, j, *t)`` when ``i >= 2j``; otherwise it is the sum, over the Adem
@@ -26,14 +37,16 @@ order of Adem rewriting reaches this one normal form; the recursion ends
 because each product is on a shorter tail or a word of lower moment
 (the sum of position times index, positions counted from 1).
 Two memos of fixed size hold the work: a pair table of the Adem terms of
-each (i, j) by descending a, each coefficient tested by Lucas's theorem
-(C(n, k) is odd iff k and n-k share no bit), and the products of one index
-and one admissible word that need rewriting, each a tuple of its distinct
-words.  One step, ``_times``, adds delta_i times each word of a set to a
-set: admissible products directly, since that order keeps them new to it,
-and the rest from the product memo by symmetric difference.  Each call of
-``reduce``, ``compose``, ``annihilation_order`` and ``adem_pair`` counts
-the work its memo misses do against ``ADEM_BUDGET``.
+each (i, j), each kept as its s by ascending s, so by descending a, and
+each coefficient tested by Lucas's theorem (C(n, k) is odd iff k and n-k
+share no bit), and the products of one index and one admissible word that
+need rewriting, each a tuple of its distinct words.  One step, ``_times``,
+adds delta_i times each word of a set to a set: admissible products
+directly, since that order keeps them new to it, and the rest from the
+product memo by symmetric difference.  Each call of ``reduce``,
+``compose``, ``annihilation_order`` and ``adem_pair`` counts the work its
+memo misses do against ``ADEM_BUDGET``; the zero pair's lookups count like
+any other, and the window bound costs nothing.
 
 The statistics of a word ``I = (i1, ..., is)`` are its degree
 ``d(I) = i1 + ... + is``, its length ``s``, and its excess
@@ -50,6 +63,7 @@ factor by factor, rightmost first, updating the running degree.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable
 
 from .errors import Budget, DomainError, RangeError
@@ -62,10 +76,11 @@ Element = frozenset  # frozenset[Word], GF(2) coefficients by membership
 ZERO: Element = frozenset()
 IDENTITY: Word = ()
 
-# Entries of each memo.  Full, the product memo and the 6,000 or so pairs
-# filled with it hold 22.4 MB traced.  A word of length 6 adds about 40
-# products to it with indices up to 32, and 300 up to 64; the pair table
-# grows about as fast.
+# Entries of each memo.  Random words of length 6 fill the product memo
+# after about 350 words with indices up to 64, when it and the 6,500 or so
+# pairs filled with it hold 22.0 MB traced (23.1 MB when the pair table kept
+# each term as its pair (a, b)).  With indices up to 32 it takes about 65,000
+# words, of which 98% are zero, and 19.5 MB with 2,900 pairs.
 _LEFT_MUL_MEMO_SIZE = 1 << 16
 
 # Work budget of one reduce, compose, annihilation_order or adem_pair call:
@@ -73,7 +88,7 @@ _LEFT_MUL_MEMO_SIZE = 1 << 16
 # product-memo misses form.  Memo hits cost nothing, so only a cold call
 # spends the full amount.  About 0.6 s at the limit.  Cold, reduce
 # "d2 d3000000" spends 1,002,127, annihilation_order(131073, 1) 677,219,
-# and a 260-word sum of words of length 3-6 about 37,000.
+# and a 260-word sum of words of length 3-6 about 26,000.
 ADEM_BUDGET = Budget("Adem terms scanned + new products formed", 4_000_000)
 _work = 0  # spent by the current call; each of the four resets it
 
@@ -130,19 +145,20 @@ def adem_pair(i: int, j: int) -> Element:
         raise DomainError(f"pair ({i}, {j}) is already admissible")
     global _work
     _work = 0
-    return frozenset(_adem(i, j))
+    return frozenset((i + j - s, s) for s in _adem(i, j))
 
 
 @lru_cache(maxsize=_LEFT_MUL_MEMO_SIZE)
-def _adem(i: int, j: int) -> tuple[tuple[int, int], ...]:
-    """The Adem terms (a, b) of delta_i delta_j for i < 2j; empty when it is zero.
+def _adem(i: int, j: int) -> tuple[int, ...]:
+    """The Adem terms of delta_i delta_j for i < 2j, each stored as its s; empty when zero.
 
-    By Lucas's theorem C(j-i+s-1, j-s) is odd iff its parts j-s and 2s-i-1
-    share no bit.  The binomial arguments must stay below 2^32.  Since
-    2s-i-1 >= 0 on the range, j-s never exceeds j-i+s-1, which rises by one
-    with s: it is checked at the low end, and if it passes the limit by the
-    high end, it first does so at exactly 2^32.  The first term has the
-    largest index a = i + j - s, so it alone is checked as a delta index.
+    The term of s is delta_a delta_s with a = i + j - s, so ascending s is
+    descending a.  By Lucas's theorem C(j-i+s-1, j-s) is odd iff its parts
+    j-s and 2s-i-1 share no bit.  The binomial arguments must stay below
+    2^32.  Since 2s-i-1 >= 0 on the range, j-s never exceeds j-i+s-1, which
+    rises by one with s: it is checked at the low end, and if it passes the
+    limit by the high end, it first does so at exactly 2^32.  The first term
+    has the largest index a, so it alone is checked as a delta index.
     """
     lo = -(-(i + 1) // 2)
     hi = (i + j) // 3
@@ -151,9 +167,9 @@ def _adem(i: int, j: int) -> tuple[tuple[int, int], ...]:
     check_index(j - i + lo - 1, "binomial argument")
     check_index(min(j - i + hi - 1, f2.INDEX_LIMIT), "binomial argument")
     _spend(hi - lo + 1)
-    terms = tuple((i + j - s, s) for s in range(lo, hi + 1) if not (j - s) & (2 * s - i - 1))
+    terms = tuple(s for s in range(lo, hi + 1) if not (j - s) & (2 * s - i - 1))
     if terms:
-        check_delta(terms[0][0])
+        check_delta(i + j - terms[0])
     return terms
 
 
@@ -161,23 +177,23 @@ def _adem(i: int, j: int) -> tuple[tuple[int, int], ...]:
 def _left_mul(i: int, word: Word) -> tuple[Word, ...]:
     """delta_i times an admissible ``(j, *t)`` with a nonzero Adem sum for (i, j).
 
-    The distinct words of the product: for each Adem term (a, b), delta_a
-    times each word of delta_b times ``t``.  ``_times`` forms admissible
-    and zero products without looking them up, so the memo holds only
-    products that need rewriting.
+    The distinct words of the product: for each Adem term delta_a delta_s,
+    delta_a times each word of delta_s times ``t``.  When ``(s, *t)`` is
+    admissible so is ``(a, s, *t)``, since a >= 2s, and it is added as it
+    is.  ``_times`` forms admissible and zero products without looking them
+    up, so the memo holds only products that need rewriting.
     """
-    t = word[1:]
+    j, t = word[0], word[1:]
     out: set = set()
     formed = 0
-    for a, b in _adem(i, word[0]):
-        if not t or b >= 2 * t[0]:
-            tails = ((b,) + t,)
-        elif _adem(b, t[0]):
-            tails = _left_mul(b, t)
-        else:
-            continue
-        formed += len(tails)
-        _times(a, tails, out)
+    for s in _adem(i, j):
+        if not t or s >= 2 * t[0]:
+            out.add((i + j - s, s) + t)
+            formed += 1
+        elif _adem(s, t[0]):
+            tails = _left_mul(s, t)
+            formed += len(tails)
+            _times(i + j - s, tails, out)
     _spend(formed)
     return tuple(out)
 
@@ -191,7 +207,7 @@ def _times(i: int, words: Iterable[Word], out: set) -> set:
     ``(i, *w)`` is new to ``out``: a rewritten product delta_i (j, *t) starts
     above i (its Adem terms have a = i + j - s > i), a step starts from an
     empty set, and ``_left_mul`` adds its terms by descending a, as ``_adem``
-    lists them.
+    lists them (by ascending s).
     """
     for w in words:
         if not w or i >= 2 * w[0]:
@@ -201,14 +217,34 @@ def _times(i: int, words: Iterable[Word], out: set) -> set:
     return out
 
 
+def _is_zero(word: Word) -> bool:
+    """Whether a checked word is zero by its window bound or by one of its pairs.
+
+    Each run of p adjacent indices is compared with 2^(p+1) - 2 first, then
+    each strictly inadmissible adjacent pair is looked up in the pair table
+    (see the module docstring), rightmost first: rewriting, which runs right
+    to left, looks that pair up first too.
+    """
+    sums = (0, *accumulate(word))
+    for p in range(2, len(word) + 1):
+        bound = (2 << p) - 2
+        if any(sums[k + p] - sums[k] < bound for k in range(len(word) - p + 1)):
+            return True
+    return any(word[k] < 2 * word[k + 1] and not _adem(word[k], word[k + 1])
+               for k in reversed(range(len(word) - 1)))
+
+
 def _normal_sum(words: Iterable[Iterable[int]]) -> Element:
-    """The normal form of a sum of words, each checked and stepped right to left."""
+    """The normal form of a sum of words, each checked, tested for zero, stepped right to left."""
     global _work
     _work = 0
     out: set = set()
     for w in words:
+        w = check_word(w)
+        if _is_zero(w):
+            continue
         acc = {IDENTITY}
-        for i in reversed(check_word(w)):
+        for i in reversed(w):
             acc = _times(i, acc, set())
         out.symmetric_difference_update(acc)
     return frozenset(out)

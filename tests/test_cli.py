@@ -202,6 +202,13 @@ def test_exit_codes(monkeypatch):
               " + ".join(f"v^{k}" for k in range(1, 2001))],
              "monomial pairs |a| x |b| x max(1, relations) reached 8,000,000, over the budget of "
              "1,000,000"),
+            # each factor is counted before its monomials are tested against the relations:
+            # 4,000 monomials against the 4,001 relations u^a v^(4000-a) took 18.5 s
+            (["ring-mul", "--ring", json.dumps({"vars": ["u", "v"], "relations": [
+                "*".join(f"{v}^{e}" for v, e in (("u", a), ("v", 4000 - a)) if e)
+                for a in range(4001)]}), " + ".join(f"u^{k}" for k in range(1, 4001)), "0"],
+             "ring element monomials x relations reached 16,004,000, over the budget of "
+             "1,000,000"),
             # alpha_a is defined for 0 <= a <= m - 2 only
             (["probe", "--kind", "alpha:-1", "--gen", "x4", "--max-iter", "3"], "K >= 0"),
             # a 4,000-digit index reads as an integer, and its message is cut to one short line
@@ -258,6 +265,10 @@ def test_exit_codes(monkeypatch):
         5, "", "deltacalc: theta index 4294967296 exceeds 2^32\n")
     assert run_cli(["reduce", "d3221225472 d1073741824"]) == (
         0, "d3221225472 d1073741824\n", "")
+    # a word that is zero by the window bound is never rewritten, so its indices near
+    # 2^32 form nothing: the run d2 d2 is below 2^3 - 2, the least admissible degree
+    assert run_cli(["reduce", "d2 d2 d4294967295 d4294967294"]) == (0, "0\n", "")
+    assert run_cli(["reduce", "d3 d2 " * 20 + "d4294967295"]) == (0, "0\n", "")
     # delta indices are range-checked where they enter the search and the action
     assert run_cli(["annihilate", "--j", "5000000000", "--t", "1"]) == (
         5, "", "deltacalc: delta index 5000000000 exceeds 2^32\n")
@@ -275,7 +286,9 @@ def test_exit_codes(monkeypatch):
             (["alpha2delta", "--word", "0", "--degree", "5000000000"], "delta index 5000000000"),
             (["alpha2delta", "--word", zeros, "--degree", "3"], "delta index 6442450944"),
             (["theta", "--s", "100000000", "--t", "0"], "theta index 2^100000000"),
-            (["theta", "--s", "3", "--t", "1000000000000"], "theta index 2^1000000000003")):
+            (["theta", "--s", "3", "--t", "1000000000000"], "theta index 2^1000000000003"),
+            # the generator search checks each index it prepends, so it stops at depth 32
+            (["sgens", "--n", "3", "--max-degree", "1" + "0" * 400], "delta index 4294967296")):
         start = time.perf_counter()
         assert run_cli(argv) == (5, "", f"deltacalc: {index} exceeds 2^32\n"), argv
         assert time.perf_counter() - start < 1, argv
@@ -331,7 +344,7 @@ def declared_budgets() -> dict[str, Budget]:
 def test_every_budget_is_stated_in_help():
     # each declared budget ends one line of --help, in its own measure's words
     budgets = declared_budgets()
-    assert len(budgets) == 12, sorted(budgets)
+    assert len(budgets) == 13, sorted(budgets)
     lines = cli.build_parser().format_help().splitlines()
     for name, budget in budgets.items():
         stated = f"{budget.measure} <= {budget.limit:,}"

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 import tracemalloc
 
@@ -56,10 +57,12 @@ def test_adem_pair_matches_direct_sum_and_is_admissible():
         for j in range(-(-(i + 1) // 2), 200):  # every j with i < 2j
             result = wd.adem_pair(i, j)
             assert result == adem_by_direct_sum(i, j), (i, j)
-            # _times adds admissible products without a parity test, which
-            # needs the terms listed by strictly descending first index
-            firsts = [a for a, _ in wd._adem(i, j)]
-            assert all(x > y for x, y in zip(firsts, firsts[1:])), (i, j)
+            # the pair table keeps each term as its s; _times adds admissible
+            # products without a parity test, which needs the terms listed by
+            # strictly ascending s, so by strictly descending first index
+            seconds = wd._adem(i, j)
+            assert all(x < y for x, y in zip(seconds, seconds[1:])), (i, j)
+            assert frozenset((i + j - s, s) for s in seconds) == result, (i, j)
             for word in result:
                 assert wd.is_admissible(word)
                 assert wd.degree(word) == i + j
@@ -160,6 +163,63 @@ def test_reduce_matches_reference_at_workload_sizes(word):
     result = wd.reduce([word])
     for order in ORDERS:
         assert reference_reduce([word], order) == result, order
+
+
+def test_words_marked_zero_reduce_to_zero_under_the_reference():
+    # every word of length 2-4 with indices 2-12: three in four are marked zero
+    marked = 0
+    for length in (2, 3, 4):
+        for word in itertools.product(range(2, 13), repeat=length):
+            if wd._is_zero(word):
+                marked += 1
+                assert not reference_reduce([word], "leftmost"), word
+    assert marked == 12083
+
+
+@given(st.one_of(st.lists(st.integers(2, 40), min_size=5, max_size=5),
+                 st.lists(st.integers(2, 32), min_size=6, max_size=6)).map(tuple))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_long_words_marked_zero_reduce_to_zero_under_the_reference(word):
+    if wd._is_zero(word):
+        assert not reference_reduce([word], "leftmost"), word
+
+
+def test_window_bound_is_the_least_admissible_degree():
+    # (8, 4, 2) is the admissible word of length 3 of least degree, 14 = 2^4 - 2
+    assert not wd._is_zero((8, 4, 2)) and wd._is_zero((7, 4, 2))
+    assert wd._is_zero((100, 2, 2, 100))
+    # every run of 37 indices below 2^32 sums below 2^38 - 2; 36 of them may not
+    assert wd._is_zero((INDEX_LIMIT - 1,) * 37)
+    with pytest.raises(DomainError, match="^Adem terms scanned"):  # its pair is looked up
+        wd._is_zero((INDEX_LIMIT - 1,) * 36)
+
+
+def test_a_word_marked_zero_forms_no_product(monkeypatch):
+    wd._adem.cache_clear()
+    wd._left_mul.cache_clear()
+    monkeypatch.setattr(wd, "_left_mul", None)
+    monkeypatch.setattr(wd, "_times", None)
+    # the window bound: the run (2, 2) is below 2^3 - 2; no pair is looked up, so
+    # the indices near 2^32, which would be refused when rewritten, are never reached
+    monkeypatch.setattr(wd, "_adem", None)
+    assert wd.reduce([(2, 2, INDEX_LIMIT - 1, INDEX_LIMIT - 2)]) == wd.ZERO
+    assert wd.reduce([(3, 2) * 20]) == wd.ZERO
+    assert wd._work == 0
+    monkeypatch.undo()
+    # a zero pair: (6, 19) scans 5 values of s, all even, after its pair to the
+    # right, (19, 12), scans 1; with the pair table warm the word costs nothing
+    wd._adem.cache_clear()
+    monkeypatch.setattr(wd, "_left_mul", None)
+    monkeypatch.setattr(wd, "_times", None)
+    assert wd.reduce([(6, 19, 12)]) == wd.ZERO
+    assert wd._work == 6
+    assert wd.reduce([(6, 19, 12)]) == wd.ZERO
+    assert wd._work == 0
+    # the scans are charged to the budget like any other lookup
+    wd._adem.cache_clear()
+    monkeypatch.setattr(wd.ADEM_BUDGET, "limit", 5)
+    with pytest.raises(DomainError, match="^Adem terms scanned .* reached 6, "):
+        wd.reduce([(6, 19, 12)])
 
 
 def test_left_mul_memo_is_bounded(monkeypatch):
