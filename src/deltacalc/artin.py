@@ -58,12 +58,13 @@ RING_ELEMENT_BUDGET = Budget("ring element monomials x relations", 1_000_000)
 # pairwise products of the monomials.
 ELEMENT_BUDGET = Budget("coefficient monomials x relations", 500)
 
-# Largest divided-power expansion, the work gr_gammas counts as it goes: k
-# for the k + 1 powers it returns, plus |a| * |b| * max(1, relations) for
-# each ring product a * b it forms.  gamma_k of one monomial over GF(2) costs
-# 3k - 1; at the limit, gamma_100000(x3) takes about 2.9 s and 285 MB peak on
-# one core of a 2-vCPU machine.  One squaring of a 500-monomial coefficient
-# over GF(2)[t]/(t^1000000) costs 251,002.
+# Largest divided-power expansion, the work gr_gammas charges as it goes,
+# over the outermost call that opens the tally: k for the k + 1 powers it
+# returns, plus |a| * |b| * max(1, relations) for each ring product a * b it
+# forms.  gamma_k of one monomial over GF(2) costs 3k - 1; at the limit,
+# gamma_100000(x3) takes about 1 s and 271 MB peak end to end on one core of
+# a 2-vCPU machine.  One squaring of a 500-monomial coefficient over
+# GF(2)[t]/(t^1000000) costs 251,002.
 EXPANSION_BUDGET = Budget(
     "divided-power work: k + |a| x |b| x max(1, relations) per ring product", 300_000)
 
@@ -319,43 +320,43 @@ def gr_gammas(ring: ArtinRing, elem: GammaOverR, k: int) -> list[GammaOverR]:
     factor m = gamma_(2^e)(g), c^r = c^(r-1) * c times the factors of g at
     the bits of r << e, up to the first zero power; on two or more factors,
     zero for r >= 2.  DomainError for a degree-0 term when k >= 2, and
-    before a ring product that takes the work past EXPANSION_BUDGET.
+    before a ring product that takes EXPANSION_BUDGET's tally, which this
+    call opens, past its limit.
     """
     if k < 0:
         raise DomainError(f"negative divided power {k}")
-    work, check, weight = k, EXPANSION_BUDGET.check, max(1, len(ring.relations))
-    check(work)
-    powers = [_gr_unit(ring)]
-    for mono, coef in elem.items():
-        if k >= 2 and not mono:
-            raise DomainError("divided powers are undefined on degree-0 terms")
-        heads = [None, (mono, coef)]  # gamma_r(coef * mono) is one monomial term
-        if k >= 2 and len(mono) == 1:
-            ((g, e),) = mono
-            power = coef
-            for r in range(2, k + 1):
-                work += len(power) * len(coef) * weight
-                check(work)
-                power = ring_multiply(ring, power, coef)
-                if not power:
-                    break
-                heads.append((frozenset((g, b + e) for b in range(r.bit_length()) if r >> b & 1),
-                              power))
-        top = len(powers) - 1
-        powers += [{} for _ in range(min(k, top + len(heads) - 1) - top)]
-        for j in range(len(powers) - 1, 0, -1):
-            out = powers[j]
-            for r in range(max(1, j - top), min(j, len(heads) - 1) + 1):
-                mh, ch = heads[r]
-                cost = len(ch) * weight
-                for mp, cp in powers[j - r].items():
-                    if not mh & mp:
-                        work += cost * len(cp)
-                        check(work)
-                        add_term(out, mh | mp, ring_multiply(ring, ch, cp))
-        while not powers[-1]:
-            powers.pop()
-    return powers + [{} for _ in range(k + 1 - len(powers))]
+    with EXPANSION_BUDGET:
+        charge, weight = EXPANSION_BUDGET.charge, max(1, len(ring.relations))
+        charge(k)
+        powers = [_gr_unit(ring)]
+        for mono, coef in elem.items():
+            if k >= 2 and not mono:
+                raise DomainError("divided powers are undefined on degree-0 terms")
+            heads = [None, (mono, coef)]  # gamma_r(coef * mono) is one monomial term
+            if k >= 2 and len(mono) == 1:
+                ((g, e),) = mono
+                power = coef
+                for r in range(2, k + 1):
+                    charge(len(power) * len(coef) * weight)
+                    power = ring_multiply(ring, power, coef)
+                    if not power:
+                        break
+                    factors = frozenset((g, b + e) for b in range(r.bit_length()) if r >> b & 1)
+                    heads.append((factors, power))
+            top = len(powers) - 1
+            powers += [{} for _ in range(min(k, top + len(heads) - 1) - top)]
+            for j in range(len(powers) - 1, 0, -1):
+                out = powers[j]
+                for r in range(max(1, j - top), min(j, len(heads) - 1) + 1):
+                    mh, ch = heads[r]
+                    cost = len(ch) * weight
+                    for mp, cp in powers[j - r].items():
+                        if not mh & mp:
+                            charge(cost * len(cp))
+                            add_term(out, mh | mp, ring_multiply(ring, ch, cp))
+            while not powers[-1]:
+                powers.pop()
+        return powers + [{} for _ in range(k + 1 - len(powers))]
 
 
 def gr_gamma(ring: ArtinRing, elem: GammaOverR, k: int) -> GammaOverR:

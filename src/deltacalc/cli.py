@@ -23,14 +23,14 @@ EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by it
 # Every size budget, after the commands it bounds; --help states each one's
 # measure and limit as its module declares them.
 _BUDGETS = (
-    ("reduce, compose, annihilate, and act, probe per monomial", wd.ADEM_BUDGET),
+    ("reduce, compose, annihilate, act, probe", wd.ADEM_BUDGET),
     ("compose", wd.PRODUCT_BUDGET),
     ("sbasis, e1", gamma.COUNT_BUDGET),
     ("sgens", gamma.GENERATOR_BUDGET),
     ("e1 text output", e1.TEXT_ROW_BUDGET),
     ("m-index, nilpotency", artin.CORNER_GRID_BUDGET),
     ("nilpotency --element", artin.ELEMENT_BUDGET),
-    ("act, --oracle", artin.EXPANSION_BUDGET),
+    ("act, --oracle per squaring", artin.EXPANSION_BUDGET),
     ("act --on products", gamma.PRODUCT_BUDGET),
     ("ring-mul per factor", artin.RING_ELEMENT_BUDGET),
     ("ring-mul", artin.PRODUCT_BUDGET),

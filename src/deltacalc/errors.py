@@ -1,4 +1,4 @@
-"""Shared exception types, and the one size-budget refusal."""
+"""Shared exception types, and the one size-budget refusal and work tally."""
 
 
 class DomainError(ValueError):
@@ -11,13 +11,36 @@ class RangeError(ValueError):
 
 class Budget:
     """A size budget: the measure it counts, worded as ``deltacalc --help`` states
-    it, and its limit.  Each is declared once, in the module that counts it."""
+    it, and its limit.  Each is declared once, in the module that counts it.
 
-    __slots__ = ("measure", "limit")
+    A budget counted as work goes on is also its own tally: ``charge`` adds to
+    ``spent``.  A ``with`` block opens the tally, and only the outermost of
+    nested blocks starts it from zero, so a tally spans the outermost call that
+    opens it.  A refusal raised inside still closes the block.
+    """
+
+    __slots__ = ("measure", "limit", "spent", "_depth")
 
     def __init__(self, measure: str, limit: int):
         self.measure = measure
         self.limit = limit
+        self.spent = 0
+        self._depth = 0
+
+    def __enter__(self) -> "Budget":
+        if not self._depth:
+            self.spent = 0
+        self._depth += 1
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._depth -= 1
+
+    def charge(self, n: int) -> None:
+        """Add n to the tally, then check it (compared here first: this runs per memo miss)."""
+        self.spent += n
+        if self.spent > self.limit:
+            self.check(self.spent)
 
     def check(self, count: int) -> None:
         """Refuse a count over the limit: the one budget refusal, a DomainError.

@@ -224,7 +224,7 @@ def parse_generator(text: str) -> gamma.FreeGenerator:
 
 
 def parse_s_element(text: str) -> gamma.Element:
-    """Evaluate an s-element expression to basis form."""
+    """Evaluate an s-element expression to basis form, one tally for each budget."""
     toks = _Tokens(text, _S_SPEC)
 
     def factor() -> gamma.Element:
@@ -247,7 +247,8 @@ def parse_s_element(text: str) -> gamma.Element:
     def monomial() -> gamma.Element:
         return reduce(gamma.multiply, _read_list(toks, factor, "STAR", to_end=False))
 
-    return _gf2_sum(_read_sum(toks, monomial))
+    with wd.ADEM_BUDGET, artin.EXPANSION_BUDGET, gamma.PRODUCT_BUDGET:
+        return _gf2_sum(_read_sum(toks, monomial))
 
 
 def _ring_monomials(text: str, variables: tuple[str, ...]) -> list[tuple[int, ...]]:

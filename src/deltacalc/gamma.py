@@ -130,20 +130,22 @@ def element_degree(elem: Element) -> int | None:
 _F2_ONE = artin.F2.one()
 
 
-# Factors of the monomial pairs that one product forms, each pair counted as
-# |ma| + |mb|, checked before the first is formed.  Pairs alone would not
-# bound it: a monomial may have thousands of factors.  Memory sets the limit.
-# Just past it (1,082,830), atoms of 1,085 and 499 one-factor terms take 2.7 s
-# and 373 MB end to end on one core of a 2-vCPU machine.  A product of 15
-# two-term atoms counts 491,520.
+# Factors of the monomial pairs that products form, each pair counted as
+# |ma| + |mb|, charged before a product's first pair is formed, over the
+# outermost call that opens the tally.  Pairs alone would not bound it: a
+# monomial may have thousands of factors.  Memory sets the limit.  Just past
+# it (1,082,830), atoms of 1,085 and 499 one-factor terms take 2.7 s and
+# 373 MB end to end on one core of a 2-vCPU machine.  A product of 15
+# two-term atoms counts 917,504, of which its last factor's product is 491,520.
 PRODUCT_BUDGET = Budget("factors of the monomial pairs |a| x |b|", 1_000_000)
 
 
 def multiply(a: Element, b: Element) -> Element:
     """Bilinear product; monomials sharing a factor multiply to zero."""
-    PRODUCT_BUDGET.check(len(b) * sum(map(len, a)) + len(a) * sum(map(len, b)))
-    return frozenset(artin.gr_multiply(artin.F2, dict.fromkeys(a, _F2_ONE),
-                                       dict.fromkeys(b, _F2_ONE)))
+    with PRODUCT_BUDGET:
+        PRODUCT_BUDGET.charge(len(b) * sum(map(len, a)) + len(a) * sum(map(len, b)))
+        return frozenset(artin.gr_multiply(artin.F2, dict.fromkeys(a, _F2_ONE),
+                                           dict.fromkeys(b, _F2_ONE)))
 
 
 def gamma_power(elem: Element, k: int) -> Element:
@@ -191,12 +193,14 @@ def delta_act(i: int, elem: Element) -> Element:
     gives zero; on a single factor the action runs through the word
     calculus described in the module docstring.  An index above the degree
     of the term acts as zero, and the index equal to the degree is the
-    divided square.
+    divided square.  Every term's Adem rewriting is charged to one
+    ADEM_BUDGET tally.
     """
     wd.check_delta(i)
     out: set = set()
-    for mon in elem:
-        out ^= _delta_act_monomial(i, mon)
+    with wd.ADEM_BUDGET:
+        for mon in elem:
+            out ^= _delta_act_monomial(i, mon)
     return frozenset(out)
 
 
@@ -431,7 +435,8 @@ def nilpotency_probe(offset: int, start: FreeGenerator, max_iter: int) -> ProbeR
 
     Reports the first step at which the iterate vanishes in the
     indecomposables, or that it survived max_iter steps.  A stage whose
-    delta index would fall below 2 is a domain boundary.
+    delta index would fall below 2 is a domain boundary.  The Adem rewriting
+    of every step is charged to one ADEM_BUDGET tally.
     """
     if offset < 0:  # alpha_a = delta_(m-a), defined for 0 <= a <= m - 2
         raise DomainError(f"alpha:{offset} is undefined; probes take alpha:K with K >= 0")
@@ -441,17 +446,17 @@ def nilpotency_probe(offset: int, start: FreeGenerator, max_iter: int) -> ProbeR
         raise DomainError(f"probe iteration count must be >= 0, got {max_iter}")
     current = generator_element(start)
     trajectory = [current]
-    for step in range(1, max_iter + 1):
-        deg = element_degree(current)
-        i = deg - offset
-        if i < 2:
-            raise DomainError(
-                f"alpha:{offset} on degree {deg} would need delta_{i}; operations stop at delta_2"
-            )
-        current = q_project(delta_act(i, current))
-        trajectory.append(current)
-        if not current:
-            return ProbeResult("nilpotent", step, trajectory)
+    with wd.ADEM_BUDGET:
+        for step in range(1, max_iter + 1):
+            deg = element_degree(current)
+            i = deg - offset
+            if i < 2:
+                raise DomainError(f"alpha:{offset} on degree {deg} would need delta_{i}; "
+                                  "operations stop at delta_2")
+            current = q_project(delta_act(i, current))
+            trajectory.append(current)
+            if not current:
+                return ProbeResult("nilpotent", step, trajectory)
     return ProbeResult("nonvanishing", None, trajectory)
 
 

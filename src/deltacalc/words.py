@@ -43,10 +43,11 @@ share no bit), and the products of one index and one admissible word that
 need rewriting, each a tuple of its distinct words.  One step, ``_times``,
 adds delta_i times each word of a set to a set: admissible products
 directly, since that order keeps them new to it, and the rest from the
-product memo by symmetric difference.  Each call of ``reduce``,
-``compose``, ``annihilation_order`` and ``adem_pair`` counts the work its
-memo misses do against ``ADEM_BUDGET``; the zero pair's lookups count like
-any other, and the window bound costs nothing.
+product memo by symmetric difference.  The work that memo misses do is
+charged to ``ADEM_BUDGET``, whose tally ``reduce``, ``compose``,
+``annihilation_order`` and ``adem_pair`` open: each call that is not inside
+another that opened it counts from zero.  The zero pair's lookups count
+like any other, and the window bound costs nothing.
 
 The statistics of a word ``I = (i1, ..., is)`` are its degree
 ``d(I) = i1 + ... + is``, its length ``s``, and its excess
@@ -62,9 +63,9 @@ factor by factor, rightmost first, updating the running degree.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterable
 
 from .errors import Budget, DomainError, RangeError
 from . import f2
@@ -83,14 +84,13 @@ IDENTITY: Word = ()
 # words, of which 98% are zero, and 19.5 MB with 2,900 pairs.
 _LEFT_MUL_MEMO_SIZE = 1 << 16
 
-# Work budget of one reduce, compose, annihilation_order or adem_pair call:
-# the values of s that pair-table misses scan plus the products that
-# product-memo misses form.  Memo hits cost nothing, so only a cold call
-# spends the full amount.  About 0.6 s at the limit.  Cold, reduce
-# "d2 d3000000" spends 1,002,127, annihilation_order(131073, 1) 677,219,
-# and a 260-word sum of words of length 3-6 about 26,000.
+# Work budget of the outermost call that opens its tally: the values of s
+# that pair-table misses scan plus the products that product-memo misses
+# form.  Memo hits cost nothing, so only a cold call spends the full amount.
+# About 0.6 s at the limit.  Cold, reduce "d2 d3000000" spends 1,002,127,
+# annihilation_order(131073, 1) 677,219, and a 260-word sum of words of
+# length 3-6 about 26,000.
 ADEM_BUDGET = Budget("Adem terms scanned + new products formed", 4_000_000)
-_work = 0  # spent by the current call; each of the four resets it
 
 # Word pairs that compose concatenates, checked before the first is formed:
 # admissible products cost nothing against ADEM_BUDGET.  A pair costs more
@@ -98,12 +98,6 @@ _work = 0  # spent by the current call; each of the four resets it
 # 283 x 283 words of 16 and 14 indices take 3.7 s and 83 MB end to end on
 # one core of a 2-vCPU machine; one-index words take 0.4 s.
 PRODUCT_BUDGET = Budget("word pairs |a| x |b|", 80_000)
-
-
-def _spend(n: int) -> None:
-    global _work
-    _work += n
-    ADEM_BUDGET.check(_work)
 
 
 def check_delta(i: int) -> int:
@@ -143,9 +137,8 @@ def adem_pair(i: int, j: int) -> Element:
     check_delta(j)
     if i >= 2 * j:
         raise DomainError(f"pair ({i}, {j}) is already admissible")
-    global _work
-    _work = 0
-    return frozenset((i + j - s, s) for s in _adem(i, j))
+    with ADEM_BUDGET:
+        return frozenset((i + j - s, s) for s in _adem(i, j))
 
 
 @lru_cache(maxsize=_LEFT_MUL_MEMO_SIZE)
@@ -166,7 +159,7 @@ def _adem(i: int, j: int) -> tuple[int, ...]:
         return ()
     check_index(j - i + lo - 1, "binomial argument")
     check_index(min(j - i + hi - 1, f2.INDEX_LIMIT), "binomial argument")
-    _spend(hi - lo + 1)
+    ADEM_BUDGET.charge(hi - lo + 1)
     terms = tuple(s for s in range(lo, hi + 1) if not (j - s) & (2 * s - i - 1))
     if terms:
         check_delta(i + j - terms[0])
@@ -194,7 +187,7 @@ def _left_mul(i: int, word: Word) -> tuple[Word, ...]:
             tails = _left_mul(s, t)
             formed += len(tails)
             _times(i + j - s, tails, out)
-    _spend(formed)
+    ADEM_BUDGET.charge(formed)
     return tuple(out)
 
 
@@ -236,17 +229,16 @@ def _is_zero(word: Word) -> bool:
 
 def _normal_sum(words: Iterable[Iterable[int]]) -> Element:
     """The normal form of a sum of words, each checked, tested for zero, stepped right to left."""
-    global _work
-    _work = 0
     out: set = set()
-    for w in words:
-        w = check_word(w)
-        if _is_zero(w):
-            continue
-        acc = {IDENTITY}
-        for i in reversed(w):
-            acc = _times(i, acc, set())
-        out.symmetric_difference_update(acc)
+    with ADEM_BUDGET:
+        for w in words:
+            w = check_word(w)
+            if _is_zero(w):
+                continue
+            acc = {IDENTITY}
+            for i in reversed(w):
+                acc = _times(i, acc, set())
+            out.symmetric_difference_update(acc)
     return frozenset(out)
 
 
@@ -288,13 +280,12 @@ def annihilation_order(j: int, t: int, s_max: int = 16) -> int | None:
         raise DomainError(f"annihilation search bound must be >= 0, got {s_max}")
     # theta(s, t) = (2^(s+t),) + theta(s-1, t): each step multiplies the last on the left
     # by theta's first index, which theta has checked (t >= 0, index below 2^32)
-    global _work
-    _work = 0
     acc = {(j,)}
-    for s in range(1, s_max + 1):
-        acc = _times(theta(s, t)[0], acc, set())
-        if not acc:
-            return s
+    with ADEM_BUDGET:
+        for s in range(1, s_max + 1):
+            acc = _times(theta(s, t)[0], acc, set())
+            if not acc:
+                return s
     return None
 
 

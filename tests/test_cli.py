@@ -226,6 +226,37 @@ def test_exit_codes(monkeypatch):
         4, "", "deltacalc: factors of the monomial pairs |a| x |b| reached 38,111,920, "
         "over the budget of 1,000,000\n")
     assert time.perf_counter() - start < 2
+    # one tally spans a whole expression or action: each product, divided power or
+    # term fits its budget alone, and the sum is refused once their work adds up
+    products = ["*".join(f"d7 d9 x9:{q}" for q in range(15 * p + 1, 15 * p + 16))
+                for p in range(20)]
+    factors = "factors of the monomial pairs |a| x |b| reached 1,007,616, over the budget of "
+    was_enabled = gc.isenabled()
+    gc.disable()  # as entry() runs a command: collection would double the divided powers' time
+    try:
+        for argv, want in (
+                (["act", "--i", "2", "--on", " + ".join(products[:2])], factors + "1,000,000"),
+                (["act", "--i", "2", "--on", " + ".join(products)], factors + "1,000,000"),
+                (["act", "--i", "2", "--on", "g60000(x3) + g60000(x5)"],
+                 "divided-power work: k + |a| x |b| x max(1, relations) per ring product reached "
+                 "300,001, over the budget of 300,000"),
+                (["act", "--i", "2", "--on", " + ".join(
+                    f"d{b} x{b + 1}" for b in range(3_000_000, 3_000_010, 3))],
+                 "Adem terms scanned + new products formed reached 4,007,100, over the budget of "
+                 "4,000,000"),
+                # each step's terms cost less than the budget, and their number grows: with a
+                # tally per term, this ran past the address-space cap of the fuzz below
+                (["probe", "--kind", "alpha:363467", "--gen", "d396949 x397266", "--max-iter", "3"],
+                 "Adem terms scanned + new products formed reached 4,005,781, over the budget of "
+                 "4,000,000")):
+            cli.wd._adem.cache_clear()  # cold, as a command starts: memo hits cost nothing
+            cli.wd._left_mul.cache_clear()
+            start = time.perf_counter()
+            assert run_cli(argv) == (4, "", f"deltacalc: {want}\n"), argv
+            assert time.perf_counter() - start < 2, argv
+    finally:
+        if was_enabled:
+            gc.enable()
     # JSON lists only the nonzero entries, so it has no row budget
     assert run_json(["e1", "--hq", "{}", "--max-t", "4294967295"])["entries"] == [
         {"s": 0, "t": 0, "dim": 1}]
@@ -562,9 +593,10 @@ def _t_ring(e):
 
 
 # Long inputs, each past its product budget: sums of 2,000 or more terms for compose
-# and ring-mul, and products of 20 or more two-term atoms for act.  Formed, these
-# products run for tens of seconds or past the address-space cap.  The first example
-# of each of these subcommands is long.
+# and ring-mul, and for act products of 20 or more two-term atoms or sums of products
+# of 15, whose budget spans the whole sum.  Formed, these products run for tens of
+# seconds or past the address-space cap.  The first example of each of these
+# subcommands is long.
 _LONG = st.sampled_from((True, False, False))
 _TERMS = st.integers(2000, 3000)
 _UV_RING = json.dumps({"vars": ["u", "v"], "relations": ["u^2147483648", "v^2147483648"]})
@@ -580,7 +612,11 @@ def _compose_argv(draw):
 
 def _act_argv(draw):
     if draw(_LONG):
-        on = "*".join(f"d7 d9 x9:{q}" for q in range(1, draw(st.integers(20, 30)) + 1))
+        if draw(st.booleans()):
+            on = "*".join(f"d7 d9 x9:{q}" for q in range(1, draw(st.integers(20, 30)) + 1))
+        else:  # a sum of 2-30 products of 15 atoms, the largest drawn first
+            on = " + ".join("*".join(f"d7 d9 x9:{q}" for q in range(15 * p + 1, 15 * p + 16))
+                            for p in range(draw(st.sampled_from(range(30, 1, -1)))))
     else:
         on = f"{draw(_WORD)} x{draw(_EXTREME)}"
     return [f"--i={draw(_EXTREME)}", "--on", on]

@@ -235,6 +235,23 @@ def test_multiply_counts_the_factors_of_its_pairs_first(monkeypatch):
         gamma.multiply(a, b)
 
 
+def test_delta_act_charges_all_its_terms_to_one_tally(monkeypatch):
+    def cold(terms):
+        wd._adem.cache_clear()
+        wd._left_mul.cache_clear()
+        return gamma.delta_act(3, terms)
+
+    # cold, delta_3 costs 4 on d9 x20 and 8 on d15 x30: each fits a limit of 8 alone
+    a, b = elem(x(20, 1, (9,))), elem(x(30, 1, (15,)))
+    monkeypatch.setattr(wd.ADEM_BUDGET, "limit", 8)
+    acts = cold(a) ^ cold(b)
+    with pytest.raises(DomainError, match=r"^Adem terms scanned .* over the budget of 8$"):
+        cold(a | b)
+    monkeypatch.setattr(wd.ADEM_BUDGET, "limit", 12)
+    assert cold(a | b) == acts
+    assert wd.ADEM_BUDGET.spent == 12
+
+
 def test_cartan_kills_products():
     m = gamma.multiply(elem(x(3)), elem(x(3, 1, (2,))))
     assert m != gamma.ZERO

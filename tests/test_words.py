@@ -204,7 +204,7 @@ def test_a_word_marked_zero_forms_no_product(monkeypatch):
     monkeypatch.setattr(wd, "_adem", None)
     assert wd.reduce([(2, 2, INDEX_LIMIT - 1, INDEX_LIMIT - 2)]) == wd.ZERO
     assert wd.reduce([(3, 2) * 20]) == wd.ZERO
-    assert wd._work == 0
+    assert wd.ADEM_BUDGET.spent == 0
     monkeypatch.undo()
     # a zero pair: (6, 19) scans 5 values of s, all even, after its pair to the
     # right, (19, 12), scans 1; with the pair table warm the word costs nothing
@@ -212,9 +212,9 @@ def test_a_word_marked_zero_forms_no_product(monkeypatch):
     monkeypatch.setattr(wd, "_left_mul", None)
     monkeypatch.setattr(wd, "_times", None)
     assert wd.reduce([(6, 19, 12)]) == wd.ZERO
-    assert wd._work == 6
+    assert wd.ADEM_BUDGET.spent == 6
     assert wd.reduce([(6, 19, 12)]) == wd.ZERO
-    assert wd._work == 0
+    assert wd.ADEM_BUDGET.spent == 0
     # the scans are charged to the budget like any other lookup
     wd._adem.cache_clear()
     monkeypatch.setattr(wd.ADEM_BUDGET, "limit", 5)
