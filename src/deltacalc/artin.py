@@ -25,7 +25,6 @@ ring elements and mixed elements, and prints them.
 
 from __future__ import annotations
 
-import random
 from itertools import product
 from math import prod
 from operator import add, ge
@@ -424,6 +423,7 @@ def axiom_suite(ring: ArtinRing, sample, scalars, max_k: int, trials: int,
     if trials < 0:
         raise DomainError(f"trial count must be >= 0, got {trials}")
     AXIOM_TRIAL_BUDGET.check(trials)
+    import random  # here, not at start-up: only the axiom suites draw samples
     rng = random.Random(seed)
     checked = {a: 0 for a in AXIOM_NAMES}
     failures = {a: 0 for a in AXIOM_NAMES}
@@ -472,7 +472,7 @@ def axiom_suite(ring: ArtinRing, sample, scalars, max_k: int, trials: int,
     return AxiomReport(trials, checked, failures)
 
 
-def _sample_ring_element(rng: random.Random, ring: ArtinRing, monos) -> RingElement:
+def _sample_ring_element(rng, ring: ArtinRing, monos) -> RingElement:
     picks = rng.sample(monos, k=rng.randint(0, min(3, len(monos))))
     return ring.element(picks)
 
@@ -487,7 +487,7 @@ def gamma_axiom_suite_over_ring(ring: ArtinRing, trials: int, seed: int = 0) -> 
     """
     monos = ring.normal_monomials()
 
-    def sample(rng: random.Random) -> GammaOverR:
+    def sample(rng) -> GammaOverR:
         out: GammaOverR = {}
         for _ in range(rng.randint(1, 3)):
             nfac = rng.randint(1, 2)

@@ -36,11 +36,12 @@ algebra (Priddy, *Koszul resolutions*, Trans. AMS 152, 1970), so every
 order of Adem rewriting reaches this one normal form; the recursion ends
 because each product is on a shorter tail or a word of lower moment
 (the sum of position times index, positions counted from 1).
-Two memos of fixed size hold the work: a pair table of the Adem terms of
-each (i, j), each kept as its s by ascending s, so by descending a, and
-each coefficient tested by Lucas's theorem (C(n, k) is odd iff k and n-k
-share no bit), and the products of one index and one admissible word that
-need rewriting, each a tuple of its distinct words.  One step, ``_times``,
+Two bounded memos hold the work: a pair table of the Adem terms of each
+(i, j), each kept as its s by ascending s, so by descending a, and each
+coefficient tested by Lucas's theorem (C(n, k) is odd iff k and n-k share
+no bit), and a smaller memo of the products of one index and one
+admissible word that need rewriting, each a tuple of its distinct words,
+sized by how seldom a product is read again.  One step, ``_times``,
 adds delta_i times each word of a set to a set: admissible products
 directly, since that order keeps them new to it, and the rest from the
 product memo by symmetric difference.  The work that memo misses do is
@@ -77,19 +78,30 @@ Element = frozenset  # frozenset[Word], GF(2) coefficients by membership
 ZERO: Element = frozenset()
 IDENTITY: Word = ()
 
-# Entries of each memo.  Random words of length 6 fill the product memo
-# after about 350 words with indices up to 64, when it and the 6,500 or so
-# pairs filled with it hold 22.0 MB traced (23.1 MB when the pair table kept
-# each term as its pair (a, b)).  With indices up to 32 it takes about 65,000
-# words, of which 98% are zero, and 19.5 MB with 2,900 pairs.
-_LEFT_MUL_MEMO_SIZE = 1 << 16
+# Entries of the pair table.  A cold command of the adem benchmark stream
+# keeps a few thousand pairs; a cap of 4,096 changed none of its misses over
+# 320 such commands, so the table keeps this room for heavier inputs.
+_PAIR_MEMO_SIZE = 1 << 16
+
+# Entries of the product memo, set by how often a product is read again.
+# Over 120 cold reduces of the adem benchmark stream, a lookup hits for 82%
+# of words of one index, 44% of two, 19% of three and 13% of four.  Over 260
+# cold reduce and compose commands of that stream, 2,048 entries miss 8.4%
+# more often than 65,536 (which never evict there) and charge 2.1% more Adem
+# work, while the traced peak of a command falls from 1.85 to 1.00 MB
+# (median).  Heavy sums miss more: a reduce of 30 words of length 7 with
+# indices up to 128 charges 2.50 million instead of 1.82 million, and peaks
+# at 22 MB instead of 68 MB in about the same time (2.8 s against 2.7 s).
+_PRODUCT_MEMO_SIZE = 1 << 11
 
 # Work budget of the outermost call that opens its tally: the values of s
 # that pair-table misses scan plus the products that product-memo misses
 # form.  Memo hits cost nothing, so only a cold call spends the full amount.
-# About 0.6 s at the limit.  Cold, reduce "d2 d3000000" spends 1,002,127,
-# annihilation_order(131073, 1) 677,219, and a 260-word sum of words of
-# length 3-6 about 26,000.
+# Near the limit, end to end on one core of a 2-vCPU machine, a reduce of
+# random words of length 5-7 takes up to about 6 s and 40 MB, and an act,
+# which counts its --on atoms and its action apart, up to about 13 s.
+# Cold, reduce "d2 d3000000" spends 1,002,127, annihilation_order(131073, 1)
+# 677,219, and a 260-word sum of words of length 3-6 about 27,000.
 ADEM_BUDGET = Budget("Adem terms scanned + new products formed", 4_000_000)
 
 # Word pairs that compose concatenates, checked before the first is formed:
@@ -141,7 +153,7 @@ def adem_pair(i: int, j: int) -> Element:
         return frozenset((i + j - s, s) for s in _adem(i, j))
 
 
-@lru_cache(maxsize=_LEFT_MUL_MEMO_SIZE)
+@lru_cache(maxsize=_PAIR_MEMO_SIZE)
 def _adem(i: int, j: int) -> tuple[int, ...]:
     """The Adem terms of delta_i delta_j for i < 2j, each stored as its s; empty when zero.
 
@@ -166,7 +178,7 @@ def _adem(i: int, j: int) -> tuple[int, ...]:
     return terms
 
 
-@lru_cache(maxsize=_LEFT_MUL_MEMO_SIZE)
+@lru_cache(maxsize=_PRODUCT_MEMO_SIZE)
 def _left_mul(i: int, word: Word) -> tuple[Word, ...]:
     """delta_i times an admissible ``(j, *t)`` with a nonzero Adem sum for (i, j).
 

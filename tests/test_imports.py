@@ -30,10 +30,11 @@ def test_module_imports_alone(module):
 
 def test_cli_start_up_skips_heavy_stdlib_modules():
     # every command pays for what deltacalc.cli imports; dataclasses pulls in
-    # inspect, ast, dis and tokenize, and typing costs about 4 ms on its own.
+    # inspect, ast, dis and tokenize, typing costs about 4 ms on its own, and
+    # random, which only the axiom suites use, another 1-2 ms.
     # -S keeps site's own imports out of it.
     code = ("import deltacalc.cli, sys; "
-            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'typing', 'random'} & set(sys.modules)))")
     result = subprocess.run([sys.executable, "-S", "-c", code],
                             capture_output=True, text=True, env=ENV, timeout=60)
     assert result.returncode == 0, result.stderr

@@ -223,9 +223,9 @@ def test_a_word_marked_zero_forms_no_product(monkeypatch):
 
 
 def test_left_mul_memo_is_bounded(monkeypatch):
-    for memo in (wd._left_mul, wd._adem):
+    for memo, size in ((wd._left_mul, wd._PRODUCT_MEMO_SIZE), (wd._adem, wd._PAIR_MEMO_SIZE)):
         info = memo.cache_info()
-        assert info.maxsize == wd._LEFT_MUL_MEMO_SIZE and info.currsize <= info.maxsize
+        assert info.maxsize == size and info.currsize <= info.maxsize
     # These words reduce to 13 and 12 terms through a few hundred entries of
     # each memo; memos of 8 evict as they go and must give the same.
     small = functools.lru_cache(maxsize=8)(wd._left_mul.__wrapped__)
@@ -242,8 +242,12 @@ def test_left_mul_memo_is_bounded(monkeypatch):
         assert info.currsize == 8 and info.misses > 8
 
 
-def _fill_product_memo(rng, entries):
-    while wd._left_mul.cache_info().currsize < entries:
+def _fill_product_memo(rng):
+    """Reduce random words of length 6 until the product memo holds as many
+    products as the declared capacity; a smaller memo could never get there."""
+    maxsize = wd._left_mul.cache_info().maxsize
+    assert maxsize is None or maxsize >= wd._PRODUCT_MEMO_SIZE, maxsize
+    while wd._left_mul.cache_info().currsize < wd._PRODUCT_MEMO_SIZE:
         wd.reduce([tuple(rng.randint(2, 32) for _ in range(6))])
 
 
@@ -255,7 +259,7 @@ def test_memo_footprint_and_product_values(monkeypatch):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        _fill_product_memo(random.Random(4096), 4096)
+        _fill_product_memo(random.Random(4096))
         traced = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
@@ -269,11 +273,31 @@ def test_memo_footprint_and_product_values(monkeypatch):
         return product
 
     monkeypatch.setattr(wd, "_left_mul", functools.lru_cache(maxsize=None)(recording))
-    _fill_product_memo(random.Random(4096), 4096)
+    _fill_product_memo(random.Random(4096))
     for (i, word), product in stored.items():
         assert type(product) is tuple and len(set(product)) == len(product), (i, word)
         for w in product:
             assert wd.is_admissible(w) and wd.degree(w) == i + wd.degree(word), (i, word, w)
+
+
+def test_a_heavy_reduce_stays_small(monkeypatch):
+    # 120 words of length 6 with indices up to 64 form about 31,000 distinct
+    # products; most are never read again, so the product memo keeps only its
+    # capacity.  Traced peak: about 9.5 MB when it kept every product, 1.9 MB now.
+    rng = random.Random(6)
+    batch = [tuple(rng.randint(2, 64) for _ in range(6)) for _ in range(120)]
+    wd._left_mul.cache_clear()
+    wd._adem.cache_clear()
+    tracemalloc.start()
+    try:
+        result = wd.reduce(batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert wd._left_mul.cache_info().currsize == wd._PRODUCT_MEMO_SIZE
+    assert peak < 4 << 20, peak
+    monkeypatch.setattr(wd, "_left_mul", functools.lru_cache(maxsize=None)(wd._left_mul.__wrapped__))
+    assert wd.reduce(batch) == result
 
 
 @given(nonempty_words)
