@@ -30,31 +30,36 @@ from math import prod
 from operator import add, ge
 
 from .errors import Budget, DomainError
-from .f2 import binom_mod2, check_index
+from .f2 import check_index
 
 RingElement = frozenset  # frozenset[tuple[int, ...]] of normal-form exponent vectors
 
-# The box below the pure powers that normal_monomials lists.  On one core of
-# a 2-vCPU machine, listing a box of this size takes 2-7 s (one to four
-# variables) and about 110 MB peak.
-EXPONENT_BOX_BUDGET = Budget("exponent box monomials", 1_000_000)
-
-# The corner candidates of m_index times the relations each is tested
-# against; the corner tests at the limit take about 1 s.
-CORNER_GRID_BUDGET = Budget("staircase corner candidates x relations", 1_000_000)
-
-# Largest ring element that exprs.parse_ring_element reads: its monomials,
-# before they cancel, times the relations each is tested against.  Near the
-# limit, 250 monomials against 4,003 relations take about 0.9 s end to end on
-# one core of a 2-vCPU machine.
-RING_ELEMENT_BUDGET = Budget("ring element monomials x relations", 1_000_000)
+# The ring work that each of four searches and readers counts with
+# check_ring_work before it starts: the ring monomials it tests, each against
+# every relation, so weighed by max(1, relations).  normal_monomials counts
+# its box below the pure powers, m_index its staircase corners,
+# exprs.parse_ring_element a factor's monomials before they cancel, and the
+# CLI's ring-mul the monomial pairs of its product; ring_multiply itself is
+# unbudgeted, as the divided-power engine and the axiom suites call it for
+# every product they form.  At the limit, end to end on one core of a
+# 2-vCPU machine, the costliest, ring-mul on 707 x 707 monomials over two
+# variables, all products distinct, takes 3.1 s and 140 MB, most of it
+# printing the product; reading a factor of 249 monomials against 4,001
+# relations takes 1.3 s, and the 9,801 corners of a 100-relation staircase
+# 0.6 s.  Listing the box of t^1000000 takes 2.1 s in process.
+RING_WORK_BUDGET = Budget("ring monomials tested x max(1, relations)", 1_000_000)
 
 # Largest mixed element that exprs.parse_mixed_element reads: coefficient
 # monomials times relations, each monomial being tested against every
-# relation.  At the limit the closed form takes milliseconds.  The oracle at
-# s = 4 takes 1.2-1.7 s on one core of a 2-vCPU machine for one 500-monomial
-# coefficient over GF(2)[t]/(t^1000000), since each squaring forms all
-# pairwise products of the monomials.
+# relation.  At the limit the closed form takes milliseconds.  It is kept
+# apart from RING_WORK_BUDGET: coefficient_nilpotency tests every doubling
+# of each monomial, and at a limit of 1,000,000 a 249-monomial coefficient
+# over the 4,001 relations u^a v^(4000-a) ran 7.3 s in process before
+# m_index refused the ring, against 0.15 s to refuse it here.  The oracle
+# squares all pairwise products of the monomials: for one 500-monomial
+# coefficient over GF(2)[t]/(t^1000000), a squaring costs 251,002 of
+# EXPANSION_BUDGET, so s = 1 is answered in 0.3 s end to end on one core of
+# a 2-vCPU machine and s = 2 is refused.
 ELEMENT_BUDGET = Budget("coefficient monomials x relations", 500)
 
 # Largest divided-power expansion, the work gr_gammas charges as it goes,
@@ -62,8 +67,7 @@ ELEMENT_BUDGET = Budget("coefficient monomials x relations", 500)
 # returns, plus |a| * |b| * max(1, relations) for each ring product a * b it
 # forms.  gamma_k of one monomial over GF(2) costs 3k - 1; at the limit,
 # gamma_100000(x3) takes about 1 s and 271 MB peak end to end on one core of
-# a 2-vCPU machine.  One squaring of a 500-monomial coefficient over
-# GF(2)[t]/(t^1000000) costs 251,002.
+# a 2-vCPU machine.  The oracle's squarings share one tally.
 EXPANSION_BUDGET = Budget(
     "divided-power work: k + |a| x |b| x max(1, relations) per ring product", 300_000)
 
@@ -72,13 +76,10 @@ EXPANSION_BUDGET = Budget(
 # 4-5 s.
 AXIOM_TRIAL_BUDGET = Budget("axiom trials", 10_000)
 
-# Monomial pairs of the CLI's ring-mul times the relations each product is
-# tested against.  ring_multiply itself is unbudgeted: the divided-power
-# engine and the axiom suites call it for every product they form.  At the
-# limit, 707 x 707 monomials over two variables, all products distinct, take
-# 3.9 s and 141 MB end to end on one core of a 2-vCPU machine, most of it
-# printing the product.
-PRODUCT_BUDGET = Budget("monomial pairs |a| x |b| x max(1, relations)", 1_000_000)
+
+def check_ring_work(ring: ArtinRing, monomials: int) -> None:
+    """Refuse testing this many monomials against the ring's relations past RING_WORK_BUDGET."""
+    RING_WORK_BUDGET.check(monomials * max(1, len(ring.relations)))
 
 
 class ArtinRing:
@@ -140,11 +141,12 @@ class ArtinRing:
     def normal_monomials(self) -> list[tuple[int, ...]]:
         """Every normal-form monomial, the unit included, in exponent order.
 
-        The search runs over the box below the pure-power relations, checked
-        against EXPONENT_BOX_BUDGET before the search.
+        The search runs over the box below the pure-power relations, each
+        monomial tested against every relation: the box is checked with
+        check_ring_work before the search.
         """
         bounds = self.pure_powers
-        EXPONENT_BOX_BUDGET.check(prod(bounds))
+        check_ring_work(self, prod(bounds))
         return [m for m in product(*(range(b) for b in bounds)) if self.is_normal(m)]
 
 
@@ -181,12 +183,12 @@ def m_index(ring: ArtinRing) -> int:
     m + e_i and not m, so r_i = m_i + 1: every coordinate of m is r_i - 1
     for a relation r with r_i > 0, and it lies below the pure power of its
     variable.  The grid of those candidates is searched with is_normal,
-    which tests a candidate against every relation; candidates times
-    relations are checked against CORNER_GRID_BUDGET before the search.
+    which tests a candidate against every relation; the candidates are
+    checked with check_ring_work before the search.
     """
     corners = [{r[k] - 1 for r in ring.relations if 0 < r[k] <= bound}
                for k, bound in enumerate(ring.pure_powers)]
-    CORNER_GRID_BUDGET.check(prod(len(c) for c in corners) * len(ring.relations))
+    check_ring_work(ring, prod(len(c) for c in corners))
     return max(sum(m) for m in product(*corners) if ring.is_normal(m)) + 1
 
 
@@ -368,14 +370,16 @@ def gamma2_oracle_expand(w: MixedElement, s: int) -> GammaOverR:
 
     No shortcut modulo decomposables is taken; this is the independent
     check for the closed-form index.  Bounded to 0 <= s <= 4 and at most
-    6 terms to keep the expansion at desk scale; each squaring is bounded
-    by gr_gammas's EXPANSION_BUDGET, which raises DomainError.
+    6 terms to keep the expansion at desk scale; the squarings are counted
+    on one tally of gr_gammas's EXPANSION_BUDGET, which this call opens and
+    which raises DomainError.
     """
     if not 0 <= s <= 4 or len(w.terms) > 6:
         raise DomainError("oracle expansion is limited to 0 <= s <= 4 and <= 6 terms")
     elem = {frozenset({(gen, 0)}): coef for coef, gen in w.terms}
-    for _ in range(s):
-        elem = gr_gamma(w.ring, elem, 2)
+    with EXPANSION_BUDGET:
+        for _ in range(s):
+            elem = gr_gamma(w.ring, elem, 2)
     return elem
 
 
@@ -447,7 +451,7 @@ def axiom_suite(ring: ArtinRing, sample, scalars, max_k: int, trials: int,
         tally("gamma0_gamma1", gx[0] == _gr_unit(ring) and gx[1] == x)
 
         lhs = gr_multiply(ring, gx[h], gx[k])
-        rhs = gx[h + k] if binom_mod2(h + k, h) else {}
+        rhs = gx[h + k] if not h & k else {}  # C(h + k, h) is odd iff h, k share no bit
         tally("same_argument_product", lhs == rhs)
 
         expansion: GammaOverR = {}

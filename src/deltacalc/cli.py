@@ -10,7 +10,7 @@ import sys
 
 from . import artin, e1, exprs, gamma
 from . import words as wd
-from .errors import DomainError, RangeError
+from .errors import Budget, DomainError, RangeError
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -20,6 +20,12 @@ EXIT_DOMAIN = 4
 EXIT_RANGE = 5
 EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by it
 
+# Longest JSON input file, in characters: the longest single argument Linux
+# accepts (131,072 bytes with its closing NUL fail with "Argument list too
+# long"), so a file holds no more than the same input given inline.  At most
+# one character past the limit is read.
+FILE_BUDGET = Budget("characters of an input file", 131_071)
+
 # Every size budget, after the commands it bounds; --help states each one's
 # measure and limit as its module declares them.
 _BUDGETS = (
@@ -28,14 +34,12 @@ _BUDGETS = (
     ("sbasis, e1", gamma.COUNT_BUDGET),
     ("sgens", gamma.GENERATOR_BUDGET),
     ("e1 text output", e1.TEXT_ROW_BUDGET),
-    ("m-index, nilpotency", artin.CORNER_GRID_BUDGET),
+    ("ring-mul, m-index, nilpotency, axioms' ring sampler", artin.RING_WORK_BUDGET),
     ("nilpotency --element", artin.ELEMENT_BUDGET),
-    ("act, --oracle per squaring", artin.EXPANSION_BUDGET),
+    ("act, nilpotency --oracle", artin.EXPANSION_BUDGET),
     ("act --on products", gamma.PRODUCT_BUDGET),
-    ("ring-mul per factor", artin.RING_ELEMENT_BUDGET),
-    ("ring-mul", artin.PRODUCT_BUDGET),
     ("axioms", artin.AXIOM_TRIAL_BUDGET),
-    ("axioms' ring sampler", artin.EXPONENT_BOX_BUDGET),
+    ("JSON input files", FILE_BUDGET),
 )
 _BUDGET_LINES = "".join(
     f"  {cmds:<20} {b.measure} <= {b.limit:,}\n" if len(cmds) <= 20
@@ -59,14 +63,17 @@ JSON outputs follow the schemas shipped in docs/.
 
 
 def _arg_text(value: str, what: str) -> str:
-    """The argument itself when it is inline JSON, else the text of the file it names."""
+    """The argument itself when it is inline JSON, else the text of the file it names,
+    refused past FILE_BUDGET after reading at most one character more."""
     if value.lstrip().startswith(("{", "[")):
         return value
     try:
         with open(value, "r", encoding="utf-8") as fh:
-            return fh.read()
+            text = fh.read(FILE_BUDGET.limit + 1)
     except OSError as err:
         raise DomainError(f"cannot read {what} file {value!r}: {err}") from err
+    FILE_BUDGET.check(len(text))
+    return text
 
 
 def _one_line(message: str) -> str:
@@ -162,7 +169,8 @@ def _cmd_sbasis(args):
 
 
 def _cmd_act(args):
-    element = gamma.delta_act(args.i, exprs.parse_s_element(args.on))
+    with wd.ADEM_BUDGET:  # one tally for the --on atoms and the action on them
+        element = gamma.delta_act(args.i, exprs.parse_s_element(args.on))
     text = exprs.format_s_element(element)
     return {"element": text}, text
 
@@ -197,7 +205,7 @@ def _cmd_ring_mul(args):
     ring = exprs.parse_ring(_arg_text(args.ring, "ring"))
     left = exprs.parse_ring_element(args.left, ring)
     right = exprs.parse_ring_element(args.right, ring)
-    artin.PRODUCT_BUDGET.check(len(left) * len(right) * max(1, len(ring.relations)))
+    artin.check_ring_work(ring, len(left) * len(right))
     product = artin.ring_multiply(ring, left, right)
     text = exprs.format_ring_element(product, ring)
     return {"element": text}, text

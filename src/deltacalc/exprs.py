@@ -289,10 +289,10 @@ def _ring_monomials(text: str, variables: tuple[str, ...]) -> list[tuple[int, ..
 def parse_ring_element(text: str, ring: artin.ArtinRing) -> artin.RingElement:
     """A ring element in normal form: its monomials summed over GF(2), relations dropped.
 
-    The monomials, counted before they cancel, times the relations are checked
-    against artin.RING_ELEMENT_BUDGET before any is tested."""
+    The monomials, counted before they cancel, are checked with
+    artin.check_ring_work before any is tested against the relations."""
     monomials = _ring_monomials(text, ring.variables)
-    artin.RING_ELEMENT_BUDGET.check(len(monomials) * len(ring.relations))
+    artin.check_ring_work(ring, len(monomials))
     return ring.element(monomials)
 
 

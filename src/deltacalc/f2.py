@@ -1,4 +1,4 @@
-"""GF(2) scalar arithmetic and graded dimension tables."""
+"""The range limit on indices, and graded dimension tables."""
 
 from __future__ import annotations
 
@@ -13,18 +13,6 @@ def check_index(value: int, what: str = "index") -> int:
     if value >= INDEX_LIMIT:
         raise RangeError(f"{what} {value} exceeds 2^32")
     return value
-
-
-def binom_mod2(n: int, k: int) -> int:
-    """Parity of C(n, k): odd exactly when every bit of k is also set in n.
-
-    k > n is allowed and gives 0.
-    """
-    if n < 0 or k < 0:
-        raise DomainError("binom_mod2 takes nonnegative arguments")
-    check_index(n, "binomial argument")
-    check_index(k, "binomial argument")
-    return 1 if k & ~n == 0 else 0
 
 
 class GradedDims:

@@ -45,10 +45,10 @@ sized by how seldom a product is read again.  One step, ``_times``,
 adds delta_i times each word of a set to a set: admissible products
 directly, since that order keeps them new to it, and the rest from the
 product memo by symmetric difference.  The work that memo misses do is
-charged to ``ADEM_BUDGET``, whose tally ``reduce``, ``compose``,
-``annihilation_order`` and ``adem_pair`` open: each call that is not inside
-another that opened it counts from zero.  The zero pair's lookups count
-like any other, and the window bound costs nothing.
+charged to ``ADEM_BUDGET``, whose tally ``reduce``, ``compose`` and
+``annihilation_order`` open: each call that is not inside another that
+opened it counts from zero.  The zero pair's lookups count like any other,
+and the window bound costs nothing.
 
 The statistics of a word ``I = (i1, ..., is)`` are its degree
 ``d(I) = i1 + ... + is``, its length ``s``, and its excess
@@ -99,7 +99,7 @@ _PRODUCT_MEMO_SIZE = 1 << 11
 # form.  Memo hits cost nothing, so only a cold call spends the full amount.
 # Near the limit, end to end on one core of a 2-vCPU machine, a reduce of
 # random words of length 5-7 takes up to about 6 s and 40 MB, and an act,
-# which counts its --on atoms and its action apart, up to about 13 s.
+# which counts reading its --on atoms and acting on one tally, 6-11 s.
 # Cold, reduce "d2 d3000000" spends 1,002,127, annihilation_order(131073, 1)
 # 677,219, and a 260-word sum of words of length 3-6 about 27,000.
 ADEM_BUDGET = Budget("Adem terms scanned + new products formed", 4_000_000)
@@ -138,19 +138,6 @@ def degree(word: Word) -> int:
 
 def length(word: Word) -> int:
     return len(word)
-
-
-def adem_pair(i: int, j: int) -> Element:
-    """Rewrite the strictly inadmissible pair delta_i delta_j (i < 2j).
-
-    Returns the GF(2) sum of admissible pairs; the empty element is zero.
-    """
-    check_delta(i)
-    check_delta(j)
-    if i >= 2 * j:
-        raise DomainError(f"pair ({i}, {j}) is already admissible")
-    with ADEM_BUDGET:
-        return frozenset((i + j - s, s) for s in _adem(i, j))
 
 
 @lru_cache(maxsize=_PAIR_MEMO_SIZE)

@@ -3,12 +3,18 @@
 A word reduces by rewriting one strictly inadmissible adjacent pair
 (``i < 2j``) at a time, either always the leftmost such pair or always the
 rightmost, until the word is admissible; duplicates cancel mod 2.  The
-Adem coefficients are integer binomials taken mod 2, so nothing here
-shares code with ``deltacalc.words``.
+Adem coefficients are integer binomials taken mod 2, so nothing in the
+reference shares code with ``deltacalc.words``.  Two helpers of the tests
+live here too: ``binom_mod2``, the range-checked parity oracle, and
+``adem_pair``, which reads one pair from the pair table under test.
 """
 
 from functools import cache
 from math import comb
+
+from deltacalc import words as wd
+from deltacalc.errors import DomainError
+from deltacalc.f2 import check_index
 
 ORDERS = ("leftmost", "rightmost")
 
@@ -71,3 +77,26 @@ def reduce(words, order):
     for w in words:
         out ^= normal_form(w, order)
     return frozenset(out)
+
+
+def binom_mod2(n, k):
+    """Parity of C(n, k): odd exactly when every bit of k is also set in n.
+
+    k > n is allowed and gives 0; both arguments must lie in [0, 2^32).
+    """
+    if n < 0 or k < 0:
+        raise DomainError("binom_mod2 takes nonnegative arguments")
+    check_index(n, "binomial argument")
+    check_index(k, "binomial argument")
+    return 1 if k & ~n == 0 else 0
+
+
+def adem_pair(i, j):
+    """The Adem sum of the strictly inadmissible pair delta_i delta_j (i < 2j), read
+    from ``words``' pair table on one Adem tally; the empty element is zero."""
+    wd.check_delta(i)
+    wd.check_delta(j)
+    if i >= 2 * j:
+        raise DomainError(f"pair ({i}, {j}) is already admissible")
+    with wd.ADEM_BUDGET:
+        return frozenset((i + j - s, s) for s in wd._adem(i, j))

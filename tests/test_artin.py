@@ -52,7 +52,7 @@ def test_corner_grid_budget(monkeypatch):
 
     monkeypatch.setattr(artin, "product", searched)
     # 2,097,152 corner candidates x 14 relations
-    with pytest.raises(DomainError, match="^staircase corner candidates x relations reached "
+    with pytest.raises(DomainError, match=r"^ring monomials tested x max\(1, relations\) reached "
                        "29,360,128, over the budget of 1,000,000$"):
         artin.m_index(OVER_GRID)
 
@@ -460,6 +460,17 @@ def test_engine_counts_its_own_work(monkeypatch):
     monkeypatch.setattr(artin.EXPANSION_BUDGET, "limit", 2)
     with pytest.raises(DomainError, match="reached 3, over the budget of 2$"):
         artin.gr_gammas(UV, {a: u}, 1)
+
+
+def test_oracle_counts_its_squarings_on_one_tally(monkeypatch):
+    # over (u^8, v^8) the three squarings of (u + v) x cost 18, 18 and 14
+    ring = exprs.parse_ring('{"vars":["u","v"],"relations":["u^8","v^8"]}')
+    w = artin.MixedElement(ring, ((parse_ring_element("u + v", ring), "x"),))
+    monkeypatch.setattr(artin.EXPANSION_BUDGET, "limit", 50)
+    assert artin.gamma2_oracle_expand(w, 3) == {}
+    monkeypatch.setattr(artin.EXPANSION_BUDGET, "limit", 49)
+    with pytest.raises(DomainError, match="reached 50, over the budget of 49$"):
+        artin.gamma2_oracle_expand(w, 3)
 
 
 def test_axiom_suites_catch_a_wrong_gamma_3(monkeypatch):

@@ -1,6 +1,7 @@
 import gc
 import importlib
 import io
+import itertools
 import json
 import os
 import random
@@ -200,14 +201,14 @@ def test_exit_codes(monkeypatch):
              "word pairs |a| x |b| reached 4,000,000, over the budget of 80,000"),
             (["ring-mul", "--ring", _UV_RING, " + ".join(f"u^{k}" for k in range(1, 2001)),
               " + ".join(f"v^{k}" for k in range(1, 2001))],
-             "monomial pairs |a| x |b| x max(1, relations) reached 8,000,000, over the budget of "
+             "ring monomials tested x max(1, relations) reached 8,000,000, over the budget of "
              "1,000,000"),
             # each factor is counted before its monomials are tested against the relations:
             # 4,000 monomials against the 4,001 relations u^a v^(4000-a) took 18.5 s
             (["ring-mul", "--ring", json.dumps({"vars": ["u", "v"], "relations": [
                 "*".join(f"{v}^{e}" for v, e in (("u", a), ("v", 4000 - a)) if e)
                 for a in range(4001)]}), " + ".join(f"u^{k}" for k in range(1, 4001)), "0"],
-             "ring element monomials x relations reached 16,004,000, over the budget of "
+             "ring monomials tested x max(1, relations) reached 16,004,000, over the budget of "
              "1,000,000"),
             # alpha_a is defined for 0 <= a <= m - 2 only
             (["probe", "--kind", "alpha:-1", "--gen", "x4", "--max-iter", "3"], "K >= 0"),
@@ -263,7 +264,8 @@ def test_exit_codes(monkeypatch):
     # one monomial costs 3k - 1 in the engine: g2000(x3) is answered
     assert run_cli(["act", "--i", "2", "--on", "g2000(x3)"]) == (0, "0\n", "")
     # the oracle's iterates over (u^1000, v^1000, w^1000) grow past the divided-power
-    # budget: 487,172 at s = 4 for 1-monomial coefficients, 455,780 at s = 3 for 2-monomial
+    # budget, whose one tally spans the squarings: 101 + 551 + 10,451 + 487,172 through
+    # s = 4 for 1-monomial coefficients, 326 + 4,826 + 455,780 through s = 3 for 2-monomial
     uvw = '{"vars":["u","v","w"],"relations":["u^1000","v^1000","w^1000"]}'
     for coefs in (["u", "v", "w", "u*v", "v*w", "u*w"],
                   ["u+v", "v+w", "u+w", "u*v+w", "v*w+u", "u*w+v"]):
@@ -375,7 +377,7 @@ def declared_budgets() -> dict[str, Budget]:
 def test_every_budget_is_stated_in_help():
     # each declared budget ends one line of --help, in its own measure's words
     budgets = declared_budgets()
-    assert len(budgets) == 13, sorted(budgets)
+    assert len(budgets) == 11, sorted(budgets)
     lines = cli.build_parser().format_help().splitlines()
     for name, budget in budgets.items():
         stated = f"{budget.measure} <= {budget.limit:,}"
@@ -383,12 +385,66 @@ def test_every_budget_is_stated_in_help():
 
 
 def test_every_budget_is_stated_in_readme():
-    # one row of README's budget table per declared budget: commands, measure, limit, time
-    readme = (DOCS.parent / "README.md").read_text()
-    rows = [line.replace("\\|", "|") for line in readme.splitlines() if line.startswith("| ")]
-    for name, budget in declared_budgets().items():
+    # one row of README's budget table per declared budget: commands, measure, limit, time;
+    # the table has no other row, so a budget that is gone leaves no stale one
+    lines = (DOCS.parent / "README.md").read_text().splitlines()
+    rows = [line.replace("\\|", "|") for line in lines if line.startswith("| ")]
+    budgets = declared_budgets()
+    for name, budget in budgets.items():
         found = [row for row in rows if f"| `{budget.measure}` | {budget.limit:,} |" in row]
         assert len(found) == 1, (name, budget.measure)
+    start = lines.index("| Commands | Measure | Limit | At the limit |") + 2  # past the rule
+    table = list(itertools.takewhile(lambda line: line.startswith("| "), lines[start:]))
+    assert len(table) == len(budgets), table
+
+
+def test_act_counts_its_atoms_and_its_action_on_one_tally(monkeypatch):
+    # reading d2 d40 x50 rewrites d2 d40, which costs 16, and acting with d4 on its three
+    # terms costs 36: act is answered within 52 and refused below it, though each part fits
+    argv = ["act", "--i", "4", "--on", "d2 d40 x50"]
+    for limit, want in ((52, (0, "d36 d8 d2 x50 + d40 d4 d2 x50\n", "")),
+                        (51, (4, "", "deltacalc: Adem terms scanned + new products formed "
+                              "reached 52, over the budget of 51\n"))):
+        monkeypatch.setattr(cli.wd.ADEM_BUDGET, "limit", limit)
+        cli.wd._adem.cache_clear()  # cold, as a command starts: memo hits cost nothing
+        cli.wd._left_mul.cache_clear()
+        assert run_cli(argv) == want, limit
+
+
+def test_input_files_are_capped_at_the_longest_argument(tmp_path):
+    # a JSON option names a file unless it is inline JSON; a file at the limit is read,
+    # and a longer one is refused after at most one character past the limit is read
+    limit = cli.FILE_BUDGET.limit
+    refused = (4, "", "deltacalc: characters of an input file reached 131,072, over the "
+               "budget of 131,071\n")
+    t3 = tmp_path / "t3.json"
+    t3.write_text(_T3)
+    for opt, text, argv in (
+            ("--hq", '{"2":1}', ["sbasis", "--max-degree", "8"]),
+            ("--ring", _T3, ["m-index"]),
+            ("--element", '[{"coef":"t","gen":"x"}]', ["nilpotency", "--ring", str(t3)])):
+        path = tmp_path / "input.json"
+        path.write_text(text.ljust(limit))
+        assert run_cli([*argv, opt, str(path)]) == run_cli([*argv, opt, text]), opt
+        assert run_cli([*argv, opt, str(path)])[0] == 0, opt
+        path.write_text(text.ljust(limit + 1))
+        assert run_cli([*argv, opt, str(path)]) == refused, opt
+        code, out, err = run_cli([*argv, opt, str(tmp_path / "missing.json")])
+        assert code == 4 and out == "" and err.startswith("deltacalc: cannot read "), (opt, err)
+        assert err.count("\n") == 1, (opt, err)
+    # 16 MB of ring element: reading it whole took 13.7 s and 1.07 GB, and raised
+    # MemoryError under the fuzz's address-space cap
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps([{"coef": " + ".join(["t"] * 4_000_000), "gen": "x"}]))
+    argv = ["nilpotency", "--ring", _T3, "--element", str(big)]
+    start = time.perf_counter()
+    assert run_cli(argv) == refused
+    assert time.perf_counter() - start < 1
+    env = dict(os.environ, PYTHONPATH=str(DOCS.parent / "src"))
+    result = subprocess.run([sys.executable, "-m", "deltacalc", *argv], env=env,
+                            capture_output=True, text=True, timeout=10,
+                            preexec_fn=_cap_address_space)
+    assert (result.returncode, result.stdout, result.stderr) == refused
 
 
 def test_stats_and_theta_payloads(validators):

