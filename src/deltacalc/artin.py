@@ -57,24 +57,40 @@ RING_WORK_BUDGET = Budget("ring monomials tested x max(1, relations)", 1_000_000
 # over the 4,001 relations u^a v^(4000-a) ran 7.3 s in process before
 # m_index refused the ring, against 0.15 s to refuse it here.  The oracle
 # squares all pairwise products of the monomials: for one 500-monomial
-# coefficient over GF(2)[t]/(t^1000000), a squaring costs 251,002 of
+# coefficient over GF(2)[t]/(t^1000000), a squaring costs 250,002 of
 # EXPANSION_BUDGET, so s = 1 is answered in 0.3 s end to end on one core of
 # a 2-vCPU machine and s = 2 is refused.
 ELEMENT_BUDGET = Budget("coefficient monomials x relations", 500)
 
-# Largest divided-power expansion, the work gr_gammas charges as it goes,
-# over the outermost call that opens the tally: k for the k + 1 powers it
-# returns, plus |a| * |b| * max(1, relations) for each ring product a * b it
-# forms.  gamma_k of one monomial over GF(2) costs 3k - 1; at the limit,
-# gamma_100000(x3) takes about 1 s and 271 MB peak end to end on one core of
-# a 2-vCPU machine.  The oracle's squarings share one tally.
+# Largest divided-power expansion, the work gr_gammas and gr_gamma charge as
+# they go, over the outermost call that opens the tally: k for the k + 1
+# powers, plus |a| * |b| * max(1, relations) for each ring product a * b
+# formed.  gamma_k of one monomial over GF(2) costs 2k - 1, of a sum of two
+# 4k - 3.  At the limit, end to end on one core of a 2-vCPU machine,
+# gamma_150000(x3) takes 0.1 s and 26 MB, and the costliest shape, one atom
+# of two to four terms, up to about 1 s and 230 MB: gamma_75000 of the two
+# terms of d3 d7 x7 takes 1.0 s and 208 MB.  The oracle's squarings share one
+# tally.
 EXPANSION_BUDGET = Budget(
     "divided-power work: k + |a| x |b| x max(1, relations) per ring product", 300_000)
 
 # Most trials of one axiom suite.  A trial of the two suites the CLI runs
-# takes about 0.4 ms on one core of a 2-vCPU machine, so the limit is about
-# 4-5 s.
+# takes about 0.25 ms on one core of a 2-vCPU machine, so the limit is about
+# 2-3 s end to end.
 AXIOM_TRIAL_BUDGET = Budget("axiom trials", 10_000)
+
+
+# ring_multiply keeps the products of at most PRODUCT_MEMO_PAIRS monomial
+# pairs, up to PRODUCT_MEMO_ENTRIES of them per ring, in rings whose box below
+# the pure powers holds at most PRODUCT_MEMO_BOX monomials: there the same few
+# small products recur, as the axiom suites' thousands over GF(2)[t]/(t^4) do.
+# Over a larger ring they seldom do: an --oracle run over three variables
+# would fill the memo with 3-5 MB of products used once.  An entry holds at
+# most 17 factor monomials and 16 product monomials, so the memo's bytes are
+# bounded with its entries.
+PRODUCT_MEMO_PAIRS = 16
+PRODUCT_MEMO_ENTRIES = 4096
+PRODUCT_MEMO_BOX = 16
 
 
 def check_ring_work(ring: ArtinRing, monomials: int) -> None:
@@ -85,7 +101,7 @@ def check_ring_work(ring: ArtinRing, monomials: int) -> None:
 class ArtinRing:
     """GF(2)[variables] modulo monomial relations; a value, equal and hashing by its fields."""
 
-    __slots__ = ("variables", "relations", "pure_powers")
+    __slots__ = ("variables", "relations", "pure_powers", "unit", "_products")
 
     def __init__(self, variables: tuple[str, ...], relations: tuple[tuple[int, ...], ...]):
         self.variables = tuple(variables)
@@ -106,6 +122,8 @@ class ArtinRing:
         if 0 in self.pure_powers:
             v = self.variables[self.pure_powers.index(0)]
             raise DomainError(f"variable {v!r} needs a pure-power relation to keep the ring Artin")
+        self.unit = frozenset({(0,) * nvars})
+        self._products = {} if prod(self.pure_powers) <= PRODUCT_MEMO_BOX else None
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -119,7 +137,7 @@ class ArtinRing:
         return f"ArtinRing({self.variables!r}, {self.relations!r})"
 
     def one(self) -> RingElement:
-        return frozenset({(0,) * len(self.variables)})
+        return self.unit
 
     def zero(self) -> RingElement:
         return frozenset()
@@ -151,7 +169,27 @@ class ArtinRing:
 
 
 def ring_multiply(ring: ArtinRing, a: RingElement, b: RingElement) -> RingElement:
+    """The product of two normal elements, itself normal.
+
+    GF(2) is the one ring with no relations, its elements 0 and 1, so there
+    the product is ``a and b``.
+    """
     relations = ring.relations
+    if not relations:
+        return a and b
+    memo = ring._products
+    if memo is None or len(a) * len(b) > PRODUCT_MEMO_PAIRS:
+        return _multiply(relations, a, b)
+    out = memo.get((a, b))
+    if out is None:
+        out = _multiply(relations, a, b)
+        if len(memo) < PRODUCT_MEMO_ENTRIES:
+            memo[a, b] = out
+    return out
+
+
+def _multiply(relations, a: RingElement, b: RingElement) -> RingElement:
+    """The product loop: each monomial pair's sum, kept unless a relation divides it."""
     out: set = set()
     for ma in a:
         for mb in b:
@@ -285,9 +323,10 @@ F2 = ArtinRing((), ())  # GF(2): the ring with no variables
 
 def add_term(out: GammaOverR, mono: frozenset, coef: RingElement) -> None:
     """Add coef * mono to out in place, dropping a coefficient that cancels."""
-    total = out.pop(mono, frozenset()) ^ coef
-    if total:
-        out[mono] = total
+    if mono in out:
+        coef = out.pop(mono) ^ coef
+    if coef:
+        out[mono] = coef
 
 
 def gr_multiply(ring: ArtinRing, a: GammaOverR, b: GammaOverR, out=None) -> GammaOverR:
@@ -299,13 +338,13 @@ def gr_multiply(ring: ArtinRing, a: GammaOverR, b: GammaOverR, out=None) -> Gamm
     out = {} if out is None else out
     for ma, ca in a.items():
         for mb, cb in b.items():
-            if not ma & mb:
+            if ma.isdisjoint(mb):
                 add_term(out, ma | mb, ring_multiply(ring, ca, cb))
     return out
 
 
 def _gr_unit(ring: ArtinRing) -> GammaOverR:
-    return {frozenset(): ring.one()}
+    return {frozenset(): ring.unit}
 
 
 def gr_gammas(ring: ArtinRing, elem: GammaOverR, k: int) -> list[GammaOverR]:
@@ -316,53 +355,96 @@ def gr_gammas(ring: ArtinRing, elem: GammaOverR, k: int) -> list[GammaOverR]:
     holding gamma_j of those folded so far, up to the top nonzero j.  Each
     new term updates j from the new top down to 1, so powers[j - r] still
     holds its old value, as in the knapsack of gamma.basis_counts; r starts
-    where j - r meets the old top, and gamma_0 = 1 makes r = 0 the value in
-    place.  The heads gamma_r(t) of t = c * m are t at r = 1; on a single
-    factor m = gamma_(2^e)(g), c^r = c^(r-1) * c times the factors of g at
-    the bits of r << e, up to the first zero power; on two or more factors,
-    zero for r >= 2.  DomainError for a degree-0 term when k >= 2, and
-    before a ring product that takes EXPANSION_BUDGET's tally, which this
-    call opens, past its limit.
+    where j - r meets the old top, r = 0 is the value in place, and r = j
+    adds gamma_j(t) itself, with no product, as gamma_0 is the unit.  The
+    first term therefore forms no fold products at all.  The heads
+    gamma_r(t) of t = c * m are t at r = 1; on a single factor
+    m = gamma_(2^e)(g), c^r = c^(r-1) * c times the factors of g at the bits
+    of r << e, up to the first zero power; on two or more factors, zero for
+    r >= 2.
+
+    Every coefficient of elem must be a nonzero normal RingElement, as
+    add_term and ArtinRing.element leave them: a head is used as is, never
+    multiplied by the unit to normalize it.  The work counted is k plus
+    |a| * |b| * max(1, relations) for each ring product a * b formed, on
+    EXPANSION_BUDGET's tally, which this call opens; gamma_k of one
+    monomial over GF(2) costs 2k - 1 here and in gr_gamma.  DomainError for
+    a degree-0 term when k >= 2, and before a product that takes the tally
+    past its limit.
     """
+    return _divided_powers(ring, elem, k, False)
+
+
+def gr_gamma(ring: ArtinRing, elem: GammaOverR, k: int) -> GammaOverR:
+    """The divided power gamma_k over the ring: gr_gammas(ring, elem, k)[k].
+
+    The fold is gr_gammas's up to the last term t, which updates j = k
+    alone, gamma_k = sum over r of gamma_r(t) * gamma_(k-r)(rest), and
+    builds the factors of only the heads that sum reads.  For a sum of two
+    one-factor terms that is k - 1 fold products, where the table forms
+    about k^2/2.
+    """
+    return _divided_powers(ring, elem, k, True)
+
+
+def _divided_powers(ring: ArtinRing, elem: GammaOverR, k: int, last_only: bool):
+    """gr_gammas's table, or with last_only gr_gamma's entry k alone."""
     if k < 0:
         raise DomainError(f"negative divided power {k}")
     with EXPANSION_BUDGET:
         charge, weight = EXPANSION_BUDGET.charge, max(1, len(ring.relations))
         charge(k)
         powers = [_gr_unit(ring)]
-        for mono, coef in elem.items():
+        if not k:  # gamma_0 = 1, whatever elem is
+            return powers[0] if last_only else powers
+
+        def update(out: GammaOverR, j: int, top: int, heads: list) -> GammaOverR:
+            # add gamma_r(t) * powers[j - r] for r = 1..j to out, which holds r = 0
+            hmax = len(heads) - 1
+            if j <= hmax:  # r = j: gamma_0 is the unit
+                add_term(out, *heads[j])
+            for r in range(max(1, j - top), min(j - 1, hmax) + 1):
+                mh, ch = heads[r]
+                cost = len(ch) * weight
+                for mp, cp in powers[j - r].items():
+                    if mh.isdisjoint(mp):
+                        charge(cost * len(cp))
+                        add_term(out, mh | mp, ring_multiply(ring, ch, cp))
+            return out
+
+        last = len(elem) if last_only else 0
+        for n, (mono, coef) in enumerate(elem.items(), 1):
             if k >= 2 and not mono:
                 raise DomainError("divided powers are undefined on degree-0 terms")
+            top = len(powers) - 1
+            # the last term of gr_gamma reads only the heads with r >= k - top
+            low = k - top if n == last else 1
             heads = [None, (mono, coef)]  # gamma_r(coef * mono) is one monomial term
             if k >= 2 and len(mono) == 1:
                 ((g, e),) = mono
+                bits = [(g, b + e) for b in range(k.bit_length())]  # shared by the heads
                 power = coef
                 for r in range(2, k + 1):
                     charge(len(power) * len(coef) * weight)
                     power = ring_multiply(ring, power, coef)
                     if not power:
                         break
-                    factors = frozenset((g, b + e) for b in range(r.bit_length()) if r >> b & 1)
+                    factors = (frozenset([f for b, f in enumerate(bits) if r >> b & 1])
+                               if r >= low else None)
                     heads.append((factors, power))
-            top = len(powers) - 1
-            powers += [{} for _ in range(min(k, top + len(heads) - 1) - top)]
-            for j in range(len(powers) - 1, 0, -1):
-                out = powers[j]
-                for r in range(max(1, j - top), min(j, len(heads) - 1) + 1):
-                    mh, ch = heads[r]
-                    cost = len(ch) * weight
-                    for mp, cp in powers[j - r].items():
-                        if not mh & mp:
-                            charge(cost * len(cp))
-                            add_term(out, mh | mp, ring_multiply(ring, ch, cp))
+            if n == last:
+                return update(powers[k] if k <= top else {}, k, top, heads)
+            if not top:  # the first term: its own divided powers, with no products
+                powers += [{mh: ch} for mh, ch in heads[1:]]
+                continue
+            new_top = min(k, top + len(heads) - 1)
+            powers += [{} for _ in range(new_top - top)]
+            for j in range(new_top, 0, -1):
+                update(powers[j], j, top, heads)
             while not powers[-1]:
                 powers.pop()
-        return powers + [{} for _ in range(k + 1 - len(powers))]
-
-
-def gr_gamma(ring: ArtinRing, elem: GammaOverR, k: int) -> GammaOverR:
-    """The divided power gamma_k over the ring: gr_gammas(ring, elem, k)[k]."""
-    return gr_gammas(ring, elem, k)[k]
+        powers += [{} for _ in range(k + 1 - len(powers))]
+        return powers[k] if last_only else powers
 
 
 def gamma2_oracle_expand(w: MixedElement, s: int) -> GammaOverR:
@@ -476,9 +558,9 @@ def axiom_suite(ring: ArtinRing, sample, scalars, max_k: int, trials: int,
     return AxiomReport(trials, checked, failures)
 
 
-def _sample_ring_element(rng, ring: ArtinRing, monos) -> RingElement:
-    picks = rng.sample(monos, k=rng.randint(0, min(3, len(monos))))
-    return ring.element(picks)
+def _sample_ring_element(rng, monos) -> RingElement:
+    # distinct normal monomials are already a normal element
+    return frozenset(rng.sample(monos, k=rng.randint(0, min(3, len(monos)))))
 
 
 def gamma_axiom_suite_over_ring(ring: ArtinRing, trials: int, seed: int = 0) -> AxiomReport:
@@ -496,8 +578,8 @@ def gamma_axiom_suite_over_ring(ring: ArtinRing, trials: int, seed: int = 0) -> 
         for _ in range(rng.randint(1, 3)):
             nfac = rng.randint(1, 2)
             mono = frozenset((rng.choice("abc"), rng.randint(0, 2)) for _ in range(nfac))
-            add_term(out, mono, _sample_ring_element(rng, ring, monos))
+            add_term(out, mono, _sample_ring_element(rng, monos))
         return out
 
-    return axiom_suite(ring, sample, lambda rng: (_sample_ring_element(rng, ring, monos),),
+    return axiom_suite(ring, sample, lambda rng: (_sample_ring_element(rng, monos),),
                        3, trials, seed)

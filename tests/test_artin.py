@@ -440,36 +440,137 @@ def test_sparse_fold_matches_dense_reference(ring, data):
     assert artin.gr_gammas(ring, x, k) == dense_gammas(ring, x, k)
 
 
+@st.composite
+def short_sums(draw, ring, k):
+    # 0-3 terms, each coefficient nonzero; a degree-0 term only below k = 2,
+    # where gamma_k is defined on one
+    monos = ring.normal_monomials()
+    out = {}
+    for _ in range(draw(st.integers(0, 3))):
+        mono = frozenset(draw(st.lists(st.tuples(st.sampled_from("abc"), st.integers(0, 2)),
+                                       min_size=0 if k < 2 else 1, max_size=2)))
+        artin.add_term(out, mono, ring.element(draw(st.lists(st.sampled_from(monos),
+                                                             min_size=1, max_size=3))))
+    return out
+
+
+@pytest.mark.parametrize("ring", ORACLE_RINGS, ids=lambda r: "*".join(r.variables) or "F2")
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_last_only_gamma_matches_the_table_and_the_oracle(ring, data):
+    k = data.draw(st.integers(0, 8))
+    x = data.draw(short_sums(ring, k))
+    assert artin.gr_gamma(ring, x, k) == artin.gr_gammas(ring, x, k)[k] == q_gamma(ring, x, k)
+
+
+def test_last_only_gamma_edge_cases():
+    t, t2 = T4.element([(1,)]), T4.element([(2,)])
+    a, b = frozenset({("a", 0)}), frozenset({("b", 1)})
+    cases = [(ring, {}, k) for ring in ORACLE_RINGS for k in range(9)]
+    # degree-0 terms, defined at k < 2, first, last and alone
+    cases += [(ring, x, k) for ring in ORACLE_RINGS for k in (0, 1) for x in (
+        {frozenset(): ring.one()}, {frozenset(): ring.one(), a: ring.one()},
+        {a: ring.one(), frozenset(): ring.one()})]
+    cases += [(T4, {frozenset(): t2 ^ t, a: t}, k) for k in (0, 1)]
+    # t^2 over t^4: the heads of the first (or last) term stop at r = 1
+    for x in ({a: t2}, {a: t2, b: t}, {b: t, a: t2}, {a: t2, b: t2 ^ t}):
+        cases += [(T4, x, k) for k in range(9)]
+    for ring, x, k in cases:
+        assert artin.gr_gamma(ring, x, k) == artin.gr_gammas(ring, x, k)[k] == q_gamma(ring, x, k), (
+            ring, x, k)
+
+
+# a box of 16 with 15 normal monomials: products on both sides of the memo's cutoff
+MEMO_RING = artin.ArtinRing(("u", "v"), ((4, 0), (0, 4), (3, 3)))
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_memoised_products_match_the_product_loop(data):
+    monos = MEMO_RING.normal_monomials()
+    a, b = (frozenset(data.draw(st.lists(st.sampled_from(monos), max_size=8, unique=True)))
+            for _ in range(2))
+    want = artin._multiply(MEMO_RING.relations, a, b)
+    assert want == MEMO_RING.element(tuple(map(sum, zip(ma, mb))) for ma in a for mb in b)
+    for _ in range(2):  # a miss, then a hit if the product is small
+        assert artin.ring_multiply(MEMO_RING, a, b) == want
+    if len(a) * len(b) > artin.PRODUCT_MEMO_PAIRS:
+        assert (a, b) not in MEMO_RING._products
+
+
+def test_product_memo_is_bounded(monkeypatch):
+    ring = artin.ArtinRing(("u", "v"), ((4, 0), (0, 4), (3, 3)))
+    monos = ring.normal_monomials()
+    assert artin.PRODUCT_MEMO_PAIRS == 16
+    one, four, five = frozenset(monos[4:5]), frozenset(monos[:4]), frozenset(monos[:5])
+    # 16 pairs are kept, 20 are not
+    for a, b, kept in ((four, four, True), (one, five, True), (four, five, False),
+                       (five, four, False)):
+        product = artin.ring_multiply(ring, a, b)
+        assert product == artin._multiply(ring.relations, a, b)
+        assert ((a, b) in ring._products) is kept
+    # a box over 16 keeps no memo: its small products seldom recur
+    wide = artin.ArtinRing(("u", "v"), ((5, 0), (0, 4)))
+    assert wide._products is None
+    a, b = frozenset(wide.normal_monomials()[:2]), frozenset(wide.normal_monomials()[3:5])
+    assert artin.ring_multiply(wide, a, b) == artin._multiply(wide.relations, a, b)
+    monkeypatch.setattr(artin, "PRODUCT_MEMO_ENTRIES", 10)
+    for ma in monos:
+        for mb in monos:
+            a, b = frozenset({ma}), frozenset({mb})
+            assert artin.ring_multiply(ring, a, b) == artin._multiply(ring.relations, a, b)
+    assert len(ring._products) == 10
+    # GF(2), the ring with no relations, multiplies 0 and 1 without the loop or the memo
+    for a in (artin.F2.zero(), artin.F2.one()):
+        for b in (artin.F2.zero(), artin.F2.one()):
+            assert artin.ring_multiply(artin.F2, a, b) == artin._multiply((), a, b)
+    assert not artin.F2._products
+
+
 def test_engine_counts_its_own_work(monkeypatch):
     # k alone is counted first, so a huge k is refused before any list is built
     with pytest.raises(DomainError, match="budget"):
         artin.gr_gammas(artin.F2, {}, 10**12)
-    a, ab, t = frozenset({("a", 0)}), frozenset({("a", 0), ("b", 0)}), parse_ring_element("t", T4)
-    # over t^4: k = 2, the head t * t, two fold products for t a, and one for
-    # t ab, whose product with gamma_1 = t a shares the factor a and is skipped
-    monkeypatch.setattr(artin.EXPANSION_BUDGET, "limit", 6)
-    assert artin.gr_gammas(T4, {a: t, ab: t}, 2)[2] == {
-        frozenset({("a", 1)}): parse_ring_element("t^2", T4)}
+    a, b, ab = frozenset({("a", 0)}), frozenset({("b", 0)}), frozenset({("a", 0), ("b", 0)})
+    t = parse_ring_element("t", T4)
+    # over t^4 at k = 2: 2, then the heads t * t of t a and t b.  The first term's
+    # fold forms no products, and gamma_j(t) at r = j is added with none, as
+    # gamma_0 is the unit; the one fold product is t b * t a, since t ab shares
+    # a factor with both
+    x = {a: t, b: t, ab: t}
+    t2 = parse_ring_element("t^2", T4)
     monkeypatch.setattr(artin.EXPANSION_BUDGET, "limit", 5)
-    with pytest.raises(DomainError, match="reached 6, over the budget of 5$"):
-        artin.gr_gammas(T4, {a: t, ab: t}, 2)
-    # each product weighs max(1, relations): k = 1 plus one product against two relations
-    monkeypatch.setattr(artin.EXPANSION_BUDGET, "limit", 3)
+    assert artin.gr_gammas(T4, x, 2)[2] == artin.gr_gamma(T4, x, 2) == {
+        frozenset({("a", 1)}): t2, frozenset({("b", 1)}): t2, ab: t2}
+    monkeypatch.setattr(artin.EXPANSION_BUDGET, "limit", 4)
+    for engine in (artin.gr_gammas, artin.gr_gamma):
+        with pytest.raises(DomainError, match="reached 5, over the budget of 4$"):
+            engine(T4, x, 2)
+    # the last term of gr_gamma updates only j = k: at k = 3 on t a + t b it
+    # skips the table's product at j = 2, and costs 9 where the table costs 10
+    monkeypatch.setattr(artin.EXPANSION_BUDGET, "limit", 9)
+    assert len(artin.gr_gamma(T4, {a: t, b: t}, 3)) == 4
+    with pytest.raises(DomainError, match="reached 10, over the budget of 9$"):
+        artin.gr_gammas(T4, {a: t, b: t}, 3)
+    # each product weighs max(1, relations): k = 2 plus the head u * u against two
+    # relations, which vanishes
+    monkeypatch.setattr(artin.EXPANSION_BUDGET, "limit", 4)
     u = parse_ring_element("u", UV)
-    assert artin.gr_gammas(UV, {a: u}, 1)[1] == {a: u}
-    monkeypatch.setattr(artin.EXPANSION_BUDGET, "limit", 2)
-    with pytest.raises(DomainError, match="reached 3, over the budget of 2$"):
-        artin.gr_gammas(UV, {a: u}, 1)
+    assert artin.gr_gamma(UV, {a: u}, 2) == {}
+    monkeypatch.setattr(artin.EXPANSION_BUDGET, "limit", 3)
+    with pytest.raises(DomainError, match="reached 4, over the budget of 3$"):
+        artin.gr_gamma(UV, {a: u}, 2)
 
 
 def test_oracle_counts_its_squarings_on_one_tally(monkeypatch):
-    # over (u^8, v^8) the three squarings of (u + v) x cost 18, 18 and 14
+    # over (u^8, v^8) each of the three squarings of (u + v) x costs 2 + 2 * 2 * 2
+    # for its head, the one product it forms; the third head vanishes
     ring = exprs.parse_ring('{"vars":["u","v"],"relations":["u^8","v^8"]}')
     w = artin.MixedElement(ring, ((parse_ring_element("u + v", ring), "x"),))
-    monkeypatch.setattr(artin.EXPANSION_BUDGET, "limit", 50)
+    monkeypatch.setattr(artin.EXPANSION_BUDGET, "limit", 30)
     assert artin.gamma2_oracle_expand(w, 3) == {}
-    monkeypatch.setattr(artin.EXPANSION_BUDGET, "limit", 49)
-    with pytest.raises(DomainError, match="reached 50, over the budget of 49$"):
+    monkeypatch.setattr(artin.EXPANSION_BUDGET, "limit", 29)
+    with pytest.raises(DomainError, match="reached 30, over the budget of 29$"):
         artin.gamma2_oracle_expand(w, 3)
 
 
@@ -487,6 +588,23 @@ def test_axiom_suites_catch_a_wrong_gamma_3(monkeypatch):
     monkeypatch.setattr(artin, "gr_gammas", wrong)
     assert gamma.gamma_axiom_suite(trials=100, seed=7).ok is False
     assert artin.gamma_axiom_suite_over_ring(T4, trials=100, seed=11).ok is False
+
+
+def test_axiom_suites_catch_a_wrong_last_only_gamma_3(monkeypatch):
+    # the sum, scalar and square rules take gamma_k from gr_gamma, which does not
+    # read gr_gammas's table, so a wrong gamma_3 there alone must fail them too
+    engine = artin.gr_gamma
+
+    def wrong(ring, elem, k):
+        return {} if k == 3 else engine(ring, elem, k)
+
+    monkeypatch.setattr(artin, "gr_gamma", wrong)
+    for report in (gamma.gamma_axiom_suite(trials=100, seed=7),
+                   artin.gamma_axiom_suite_over_ring(T4, trials=100, seed=11)):
+        assert report.ok is False
+        assert all(report.failures[a] for a in ("sum_rule", "scalar_rule", "square_composition"))
+        assert not any(report.failures[a] for a in (
+            "gamma0_gamma1", "same_argument_product", "product_vanishing"))
 
 
 def test_gamma_folds_long_sums_without_recursion():

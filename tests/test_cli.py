@@ -238,7 +238,8 @@ def test_exit_codes(monkeypatch):
         for argv, want in (
                 (["act", "--i", "2", "--on", " + ".join(products[:2])], factors + "1,000,000"),
                 (["act", "--i", "2", "--on", " + ".join(products)], factors + "1,000,000"),
-                (["act", "--i", "2", "--on", "g60000(x3) + g60000(x5)"],
+                # g<k>(x3) costs 2k - 1: 150,001 and then 150,000 of the second term
+                (["act", "--i", "2", "--on", "g75001(x3) + g75001(x5)"],
                  "divided-power work: k + |a| x |b| x max(1, relations) per ring product reached "
                  "300,001, over the budget of 300,000"),
                 (["act", "--i", "2", "--on", " + ".join(
@@ -261,11 +262,20 @@ def test_exit_codes(monkeypatch):
     # JSON lists only the nonzero entries, so it has no row budget
     assert run_json(["e1", "--hq", "{}", "--max-t", "4294967295"])["entries"] == [
         {"s": 0, "t": 0, "dim": 1}]
-    # one monomial costs 3k - 1 in the engine: g2000(x3) is answered
+    # one monomial costs 2k - 1 in the engine: g2000(x3) is answered, and so is a sum
+    # at the limit, 149,999 + 150,001
     assert run_cli(["act", "--i", "2", "--on", "g2000(x3)"]) == (0, "0\n", "")
+    assert run_cli(["act", "--i", "2", "--on", "g75000(x3) + g75001(x5)"]) == (0, "0\n", "")
+    # the last term of a sum updates only gamma_k: in a child, g1000 of this
+    # two-term atom is answered, where the whole table was refused after 1.5 s at 290 MB
+    env = dict(os.environ, PYTHONPATH=str(DOCS.parent / "src"))
+    result = subprocess.run([sys.executable, "-m", "deltacalc", "act", "--i", "2", "--on",
+                             "g1000(d3 d7 x7)"], env=env, capture_output=True, text=True,
+                            timeout=10, preexec_fn=_cap_address_space)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "0\n", "")
     # the oracle's iterates over (u^1000, v^1000, w^1000) grow past the divided-power
-    # budget, whose one tally spans the squarings: 101 + 551 + 10,451 + 487,172 through
-    # s = 4 for 1-monomial coefficients, 326 + 4,826 + 455,780 through s = 3 for 2-monomial
+    # budget, whose one tally spans the squarings: 65 + 470 + 10,055 + 483,293 through
+    # s = 4 for 1-monomial coefficients, 254 + 4,574 + 452,702 through s = 3 for 2-monomial
     uvw = '{"vars":["u","v","w"],"relations":["u^1000","v^1000","w^1000"]}'
     for coefs in (["u", "v", "w", "u*v", "v*w", "u*w"],
                   ["u+v", "v+w", "u+w", "u*v+w", "v*w+u", "u*w+v"]):

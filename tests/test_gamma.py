@@ -374,18 +374,20 @@ def test_gamma2_of_sum():
 
 
 def test_gamma_power_refuses_over_budget(monkeypatch):
-    # the engine's count: k, then one per product over GF(2), so gamma_k of one
-    # monomial costs k + (k - 1) heads + k fold products = 3k - 1
+    # the engine's count over GF(2): k, then one per ring product.  gamma_k of one
+    # monomial costs k + (k - 1) heads = 2k - 1, as the one term's fold forms no
+    # products; the last term of a sum updates only j = k
     x3, both = elem(x(3)), elem(x(3), x(2))
     for e, k in ((x3, 10**10), (gamma.ZERO, 10**10)):  # k alone, before any list is built
         with pytest.raises(DomainError, match="budget"):
             gamma.gamma_power(e, k)
     monkeypatch.setattr(artin.EXPANSION_BUDGET, "limit", 11)
-    assert gamma.gamma_power(x3, 4) == frozenset({frozenset({(x(3), 2)})})  # 11
-    assert len(gamma.gamma_power(both, 2)) == 3  # 9
+    assert gamma.gamma_power(x3, 6) == frozenset({frozenset({(x(3), 1), (x(3), 2)})})  # 11
+    assert len(gamma.gamma_power(both, 3)) == 4  # 3 + 2 + 2 heads + 2 products = 9
     assert gamma.gamma_power(gamma.ZERO, 11) == gamma.ZERO  # 11
-    for e, k in ((x3, 5), (both, 3), (gamma.ZERO, 12)):  # 14, 16 and 12
-        with pytest.raises(DomainError, match="budget"):
+    # 7 + 5 heads; 4 + 3 + 3 heads + the second of three products; 12
+    for e, k in ((x3, 7), (both, 4), (gamma.ZERO, 12)):
+        with pytest.raises(DomainError, match="reached 12, over the budget of 11$"):
             gamma.gamma_power(e, k)
 
 
