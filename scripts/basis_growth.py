@@ -13,7 +13,7 @@ import argparse
 from deltacalc import gamma
 from deltacalc.e1 import e1_page
 from deltacalc.exprs import format_generator
-from deltacalc.f2 import GradedDims
+from deltacalc.gamma import GradedDims
 
 
 def main():

@@ -29,8 +29,7 @@ from itertools import product
 from math import prod
 from operator import add, ge
 
-from .errors import Budget, DomainError
-from .f2 import check_index
+from .errors import Budget, DomainError, check_index
 
 RingElement = frozenset  # frozenset[tuple[int, ...]] of normal-form exponent vectors
 
@@ -80,17 +79,18 @@ EXPANSION_BUDGET = Budget(
 AXIOM_TRIAL_BUDGET = Budget("axiom trials", 10_000)
 
 
-# ring_multiply keeps the products of at most PRODUCT_MEMO_PAIRS monomial
-# pairs, up to PRODUCT_MEMO_ENTRIES of them per ring, in rings whose box below
-# the pure powers holds at most PRODUCT_MEMO_BOX monomials: there the same few
-# small products recur, as the axiom suites' thousands over GF(2)[t]/(t^4) do.
-# Over a larger ring they seldom do: an --oracle run over three variables
-# would fill the memo with 3-5 MB of products used once.  An entry holds at
-# most 17 factor monomials and 16 product monomials, so the memo's bytes are
-# bounded with its entries.
-PRODUCT_MEMO_PAIRS = 16
-PRODUCT_MEMO_ENTRIES = 4096
-PRODUCT_MEMO_BOX = 16
+# ring_multiply memoises every product in a ring whose box below the pure
+# powers holds at most PRODUCT_MEMO_BOX monomials, and none in any other ring.
+# Such a ring has at most 2^6 normal elements, so its memo holds at most 4,096
+# products of at most 6 monomials each, by construction.  The rings that keep
+# one include the axiom suites' GF(2)[t]/(t^4), whose thousands of small
+# products recur, and the benchmark's oracle rings GF(2)[t]/(t^3), (t^5),
+# GF(2)[u,v]/(u^2,v^2) and (u^3,v^2,u^2 v).  GF(2) returns before the memo.
+# The box-8 oracle ring GF(2)[a,b,c]/(a^2,b^2,c^2) loses it at no measured
+# cost: in process on a 2-vCPU machine, 41 nilpotency --oracle commands took
+# 92-113 ms against 94-99 ms with a memo in boxes up to 16, and the axioms
+# compute of 120 commands 1.59-1.77 s against 1.60-1.81 s.
+PRODUCT_MEMO_BOX = 6
 
 
 def check_ring_work(ring: ArtinRing, monomials: int) -> None:
@@ -178,13 +178,11 @@ def ring_multiply(ring: ArtinRing, a: RingElement, b: RingElement) -> RingElemen
     if not relations:
         return a and b
     memo = ring._products
-    if memo is None or len(a) * len(b) > PRODUCT_MEMO_PAIRS:
+    if memo is None:
         return _multiply(relations, a, b)
     out = memo.get((a, b))
     if out is None:
-        out = _multiply(relations, a, b)
-        if len(memo) < PRODUCT_MEMO_ENTRIES:
-            memo[a, b] = out
+        out = memo[a, b] = _multiply(relations, a, b)
     return out
 
 
@@ -343,10 +341,6 @@ def gr_multiply(ring: ArtinRing, a: GammaOverR, b: GammaOverR, out=None) -> Gamm
     return out
 
 
-def _gr_unit(ring: ArtinRing) -> GammaOverR:
-    return {frozenset(): ring.unit}
-
-
 def gr_gammas(ring: ArtinRing, elem: GammaOverR, k: int) -> list[GammaOverR]:
     """The divided powers [gamma_0, ..., gamma_k] over the ring, expanded through the axioms.
 
@@ -394,7 +388,7 @@ def _divided_powers(ring: ArtinRing, elem: GammaOverR, k: int, last_only: bool):
     with EXPANSION_BUDGET:
         charge, weight = EXPANSION_BUDGET.charge, max(1, len(ring.relations))
         charge(k)
-        powers = [_gr_unit(ring)]
+        powers = [{frozenset(): ring.unit}]
         if not k:  # gamma_0 = 1, whatever elem is
             return powers[0] if last_only else powers
 
@@ -530,7 +524,7 @@ def axiom_suite(ring: ArtinRing, sample, scalars, max_k: int, trials: int,
         gx = gr_gammas(ring, x, max(h + k, 2 * k, 2))
         gy = gr_gammas(ring, y, k)
 
-        tally("gamma0_gamma1", gx[0] == _gr_unit(ring) and gx[1] == x)
+        tally("gamma0_gamma1", gx[0] == {frozenset(): ring.unit} and gx[1] == x)
 
         lhs = gr_multiply(ring, gx[h], gx[k])
         rhs = gx[h + k] if not h & k else {}  # C(h + k, h) is odd iff h, k share no bit

@@ -10,8 +10,7 @@ read off a list of basis monomials.
 from __future__ import annotations
 
 from .errors import Budget, DomainError
-from .f2 import GradedDims
-from .gamma import basis_counts
+from .gamma import GradedDims, basis_counts
 from .gamma import s_basis  # noqa: F401  unused here; perfbench/traced_child.py wraps e1.s_basis
 
 

@@ -1,4 +1,5 @@
-"""Shared exception types, and the one size-budget refusal and work tally."""
+"""Shared exception types, the 2^32 range check on indices, and the one size-budget
+refusal and work tally."""
 
 
 class DomainError(ValueError):
@@ -7,6 +8,17 @@ class DomainError(ValueError):
 
 class RangeError(ValueError):
     """An integer input exceeds the supported range (indices must stay below 2^32)."""
+
+
+# Indices and degrees are kept below 2^32 so that doubling searches can
+# never overflow a 64-bit intermediate.
+INDEX_LIMIT = 2**32
+
+
+def check_index(value: int, what: str = "index") -> int:
+    if value >= INDEX_LIMIT:
+        raise RangeError(f"{what} {value} exceeds 2^32")
+    return value
 
 
 class Budget:

@@ -37,7 +37,7 @@ from functools import reduce
 from . import artin, gamma
 from . import words as wd
 from .errors import DomainError, RangeError
-from .f2 import GradedDims
+from .gamma import GradedDims
 
 
 class ParseError(ValueError):

@@ -9,7 +9,9 @@ the divided square, so a basis monomial is a product of factors
 ``gamma_{2^e}(g)`` over *distinct* pairs (g, e): a repeated factor squares
 to zero.  Dimension tables are therefore counted by a 0/1 knapsack over
 the factors (``basis_counts``); ``s_basis`` lists the monomials themselves
-for callers that need them, and is the counting's test oracle.
+for callers that need them, and is the counting's test oracle.  A table is
+a ``GradedDims``, which ``graded_tables`` builds from counts keyed (weight,
+degree); ``e1`` and ``exprs`` use the same type.
 
 A monomial is the frozenset of its factors, pairs ``(FreeGenerator, e)``
 standing for ``gamma_{2^e}(g)``; the unit is the empty frozenset.
@@ -36,7 +38,6 @@ from itertools import islice
 from . import artin
 from . import words as wd
 from .errors import Budget, DomainError
-from .f2 import GradedDims
 
 Monomial = frozenset  # frozenset[tuple[FreeGenerator, int]]
 Element = frozenset  # frozenset[Monomial]
@@ -364,6 +365,54 @@ def s_basis(gens, max_degree: int) -> SBasis:
         key = weight(m), degree(m)
         counts[key] = counts.get(key, 0) + 1
     return SBasis(monomials, *graded_tables(counts))
+
+
+class GradedDims:
+    """Finitely supported table mapping an int degree to an int dimension.
+
+    The JSON form, written by to_json and read by exprs.parse_graded_dims,
+    is an object keyed by decimal-string degrees, e.g. ``{"0": 1, "2": 1}``;
+    absent degrees are zero.
+    """
+
+    __slots__ = ("_entries",)
+
+    def __init__(self, entries=None):
+        table = {}
+        for deg, dim in dict(entries or {}).items():
+            if deg < 0:
+                raise DomainError(f"negative degree {deg}")
+            if dim < 0:
+                raise DomainError(f"negative dimension {dim} in degree {deg}")
+            if dim:
+                table[deg] = dim
+        self._entries = table
+
+    def __getitem__(self, degree: int) -> int:
+        return self._entries.get(degree, 0)
+
+    def __bool__(self) -> bool:
+        return bool(self._entries)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, GradedDims) and self._entries == other._entries
+
+    def __repr__(self) -> str:
+        return f"GradedDims({dict(self.items())!r})"
+
+    def items(self) -> list[tuple[int, int]]:
+        return sorted(self._entries.items())
+
+    @property
+    def min_degree(self) -> int | None:
+        return min(self._entries) if self._entries else None
+
+    @property
+    def max_degree(self) -> int | None:
+        return max(self._entries) if self._entries else None
+
+    def to_json(self) -> dict[str, int]:
+        return {str(deg): dim for deg, dim in self.items()}
 
 
 def graded_tables(counts) -> tuple[GradedDims, dict[int, GradedDims]]:

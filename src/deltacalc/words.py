@@ -68,9 +68,7 @@ from collections.abc import Iterable
 from functools import lru_cache
 from itertools import accumulate
 
-from .errors import Budget, DomainError, RangeError
-from . import f2
-from .f2 import check_index
+from .errors import INDEX_LIMIT, Budget, DomainError, RangeError, check_index
 
 Word = tuple[int, ...]
 Element = frozenset  # frozenset[Word], GF(2) coefficients by membership
@@ -157,7 +155,7 @@ def _adem(i: int, j: int) -> tuple[int, ...]:
     if lo > hi:
         return ()
     check_index(j - i + lo - 1, "binomial argument")
-    check_index(min(j - i + hi - 1, f2.INDEX_LIMIT), "binomial argument")
+    check_index(min(j - i + hi - 1, INDEX_LIMIT), "binomial argument")
     ADEM_BUDGET.charge(hi - lo + 1)
     terms = tuple(s for s in range(lo, hi + 1) if not (j - s) & (2 * s - i - 1))
     if terms:
@@ -261,7 +259,7 @@ def theta(s: int, t: int) -> Word:
     if s < 0 or t < 0:
         raise DomainError("theta takes nonnegative arguments")
     if s and s + t >= 32:  # compared first, so that no power above 2^32 is formed
-        top = f2.INDEX_LIMIT if s + t == 32 else f"2^{s + t}"
+        top = INDEX_LIMIT if s + t == 32 else f"2^{s + t}"
         raise RangeError(f"theta index {top} exceeds 2^32")
     return tuple(2 ** (s + t - k) for k in range(s))
 

@@ -13,8 +13,7 @@ from functools import cache
 from math import comb
 
 from deltacalc import words as wd
-from deltacalc.errors import DomainError
-from deltacalc.f2 import check_index
+from deltacalc.errors import DomainError, check_index
 
 ORDERS = ("leftmost", "rightmost")
 

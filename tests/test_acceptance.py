@@ -13,7 +13,7 @@ import adem_reference
 from deltacalc import artin, exprs, gamma
 from deltacalc import words as wd
 from deltacalc.e1 import e1_page
-from deltacalc.f2 import GradedDims
+from deltacalc.gamma import GradedDims
 
 DATA = Path(__file__).parent / "data"
 SEED = 987654321

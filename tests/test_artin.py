@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from collections import Counter, defaultdict
@@ -480,46 +481,45 @@ def test_last_only_gamma_edge_cases():
             ring, x, k)
 
 
-# a box of 16 with 15 normal monomials: products on both sides of the memo's cutoff
+# a box of 6, which memoises every product, and a box of 16 with 15 normal monomials,
+# which memoises none
+U3V2 = artin.ArtinRing(("u", "v"), ((3, 0), (0, 2)))
 MEMO_RING = artin.ArtinRing(("u", "v"), ((4, 0), (0, 4), (3, 3)))
 
 
 @given(data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_memoised_products_match_the_product_loop(data):
-    monos = MEMO_RING.normal_monomials()
-    a, b = (frozenset(data.draw(st.lists(st.sampled_from(monos), max_size=8, unique=True)))
-            for _ in range(2))
-    want = artin._multiply(MEMO_RING.relations, a, b)
-    assert want == MEMO_RING.element(tuple(map(sum, zip(ma, mb))) for ma in a for mb in b)
-    for _ in range(2):  # a miss, then a hit if the product is small
-        assert artin.ring_multiply(MEMO_RING, a, b) == want
-    if len(a) * len(b) > artin.PRODUCT_MEMO_PAIRS:
-        assert (a, b) not in MEMO_RING._products
+    for ring in (U3V2, MEMO_RING):
+        monos = ring.normal_monomials()
+        a, b = (frozenset(data.draw(st.lists(st.sampled_from(monos), max_size=8, unique=True)))
+                for _ in range(2))
+        want = artin._multiply(ring.relations, a, b)
+        assert want == ring.element(tuple(map(sum, zip(ma, mb))) for ma in a for mb in b)
+        for _ in range(2):  # a miss, then a hit where the ring keeps a memo
+            assert artin.ring_multiply(ring, a, b) == want
+        assert ring._products is None if ring is MEMO_RING else (a, b) in ring._products
 
 
-def test_product_memo_is_bounded(monkeypatch):
-    ring = artin.ArtinRing(("u", "v"), ((4, 0), (0, 4), (3, 3)))
-    monos = ring.normal_monomials()
-    assert artin.PRODUCT_MEMO_PAIRS == 16
-    one, four, five = frozenset(monos[4:5]), frozenset(monos[:4]), frozenset(monos[:5])
-    # 16 pairs are kept, 20 are not
-    for a, b, kept in ((four, four, True), (one, five, True), (four, five, False),
-                       (five, four, False)):
-        product = artin.ring_multiply(ring, a, b)
-        assert product == artin._multiply(ring.relations, a, b)
-        assert ((a, b) in ring._products) is kept
-    # a box over 16 keeps no memo: its small products seldom recur
-    wide = artin.ArtinRing(("u", "v"), ((5, 0), (0, 4)))
+def test_product_memo_is_bounded():
+    # a box of 6 has 2^6 normal elements, so its memo holds at most 64 x 64 products,
+    # each computed by the product loop; every one of them is kept
+    monos = U3V2.normal_monomials()
+    assert artin.PRODUCT_MEMO_BOX == len(monos) == 6
+    elements = [frozenset(c) for n in range(7) for c in itertools.combinations(monos, n)]
+    assert len(elements) == 64
+    for a in elements:
+        for b in elements:
+            artin.ring_multiply(U3V2, a, b)
+    assert len(U3V2._products) == 4096
+    for (a, b), product in U3V2._products.items():
+        assert product == artin._multiply(U3V2.relations, a, b)
+    # a box of 7 keeps no memo
+    wide = artin.ArtinRing(("t",), ((7,),))
     assert wide._products is None
     a, b = frozenset(wide.normal_monomials()[:2]), frozenset(wide.normal_monomials()[3:5])
     assert artin.ring_multiply(wide, a, b) == artin._multiply(wide.relations, a, b)
-    monkeypatch.setattr(artin, "PRODUCT_MEMO_ENTRIES", 10)
-    for ma in monos:
-        for mb in monos:
-            a, b = frozenset({ma}), frozenset({mb})
-            assert artin.ring_multiply(ring, a, b) == artin._multiply(ring.relations, a, b)
-    assert len(ring._products) == 10
+    assert wide._products is None
     # GF(2), the ring with no relations, multiplies 0 and 1 without the loop or the memo
     for a in (artin.F2.zero(), artin.F2.one()):
         for b in (artin.F2.zero(), artin.F2.one()):

@@ -1,4 +1,6 @@
+import argparse
 import gc
+import hashlib
 import importlib
 import io
 import itertools
@@ -394,6 +396,30 @@ def test_every_budget_is_stated_in_help():
         assert sum(line.endswith(stated) for line in lines) == 1, (name, stated)
 
 
+# sha256 (first 16 hex digits) of the stdout of `deltacalc [command] --help` at
+# COLUMNS=80, recorded on Python 3.11.7: argparse's layout differs between versions
+HELP_DIGESTS = {
+    "": "aa4c608a5eab51d8", "reduce": "a2019aa5e9b26928", "compose": "29304d6ca94b7b0d",
+    "stats": "f4f312f7aa6a71d4", "annihilate": "9e019d53f07e381b", "theta": "a69f63d55c1ea7b6",
+    "alpha2delta": "bdd0f6530e502c5c", "sgens": "56947db35fb406d5", "sbasis": "4b8809988c4a9621",
+    "act": "57535aa59e033196", "probe": "943de2086c85f278", "e1": "432256fb1ae07898",
+    "ring-mul": "1cdf0a91dbc756b8", "m-index": "43657b11fd65e889",
+    "nilpotency": "38bf782ffccb3701", "axioms": "a5219a2d413269cb",
+}
+
+
+def test_every_help_text_is_pinned():
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert sorted(HELP_DIGESTS) == sorted(["", *subparsers.choices])
+    env = dict(os.environ, PYTHONPATH=str(DOCS.parent / "src"), COLUMNS="80")
+    for command, digest in HELP_DIGESTS.items():
+        argv = [sys.executable, "-m", "deltacalc", *filter(None, [command]), "--help"]
+        result = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert (result.returncode, result.stderr) == (0, ""), command
+        assert hashlib.sha256(result.stdout.encode()).hexdigest()[:16] == digest, command
+
+
 def test_every_budget_is_stated_in_readme():
     # one row of README's budget table per declared budget: commands, measure, limit, time;
     # the table has no other row, so a budget that is gone leaves no stale one
@@ -406,6 +432,18 @@ def test_every_budget_is_stated_in_readme():
     start = lines.index("| Commands | Measure | Limit | At the limit |") + 2  # past the rule
     table = list(itertools.takewhile(lambda line: line.startswith("| "), lines[start:]))
     assert len(table) == len(budgets), table
+
+
+def test_readme_layout_names_every_module():
+    # README's Layout block has one "  <module>.py" line per module of src/deltacalc/,
+    # so a module that is gone leaves no stale line and a new one needs a line
+    lines = (DOCS.parent / "README.md").read_text().splitlines()
+    start = lines.index("## Layout") + 2
+    block = list(itertools.takewhile(lambda line: line != "```", lines[start + 1:]))
+    named = [m.group(1) for line in block if (m := re.match(r"  (\w+)\.py ", line))]
+    modules = {p.stem for p in (DOCS.parent / "src" / "deltacalc").glob("*.py")}
+    assert lines[start] == "```" and len(named) == len(set(named))
+    assert set(named) == modules - {"__init__", "__main__"}, named
 
 
 def test_act_counts_its_atoms_and_its_action_on_one_tally(monkeypatch):

@@ -2,8 +2,7 @@ import pytest
 
 from deltacalc.e1 import e1_page
 from deltacalc.errors import DomainError
-from deltacalc.f2 import GradedDims
-from deltacalc.gamma import s_basis
+from deltacalc.gamma import GradedDims, s_basis
 
 
 def test_degree1_class_fills_the_diagonal():

@@ -3,8 +3,8 @@ from hypothesis import given, strategies as st
 
 from adem_reference import binom_mod2
 from deltacalc import exprs
-from deltacalc.errors import DomainError, RangeError
-from deltacalc.f2 import INDEX_LIMIT, GradedDims
+from deltacalc.errors import INDEX_LIMIT, DomainError, RangeError
+from deltacalc.gamma import GradedDims
 
 
 def pascal_parity(n_max):

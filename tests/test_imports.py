@@ -42,7 +42,7 @@ def test_cli_start_up_skips_heavy_stdlib_modules():
 
 
 # Each module may import only modules listed before it.
-LAYERS = ["__init__", "errors", "f2", "words", "artin", "gamma", "e1", "exprs", "cli", "__main__"]
+LAYERS = ["__init__", "errors", "words", "artin", "gamma", "e1", "exprs", "cli", "__main__"]
 
 
 def _package_imports(tree: ast.AST) -> set[str]:

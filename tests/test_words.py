@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 from adem_reference import ORDERS, adem_by_direct_sum, adem_pair, binom_mod2
 from adem_reference import reduce as reference_reduce
 from deltacalc import words as wd
-from deltacalc.errors import DomainError, RangeError
-from deltacalc.f2 import INDEX_LIMIT
+from deltacalc.errors import INDEX_LIMIT, DomainError, RangeError
 
 raw_words = st.lists(st.integers(2, 32), min_size=0, max_size=5).map(tuple)
 nonempty_words = st.lists(st.integers(2, 32), min_size=1, max_size=5).map(tuple)
