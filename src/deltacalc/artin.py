@@ -33,33 +33,23 @@ from .errors import Budget, DomainError, check_index
 
 RingElement = frozenset  # frozenset[tuple[int, ...]] of normal-form exponent vectors
 
-# The ring work that each of four searches and readers counts with
+# The ring work that each of five searches and readers counts with
 # check_ring_work before it starts: the ring monomials it tests, each against
 # every relation, so weighed by max(1, relations).  normal_monomials counts
-# its box below the pure powers, m_index its staircase corners,
-# exprs.parse_ring_element a factor's monomials before they cancel, and the
-# CLI's ring-mul the monomial pairs of its product; ring_multiply itself is
-# unbudgeted, as the divided-power engine and the axiom suites call it for
-# every product they form.  At the limit, end to end on one core of a
-# 2-vCPU machine, the costliest, ring-mul on 707 x 707 monomials over two
-# variables, all products distinct, takes 3.1 s and 140 MB, most of it
-# printing the product; reading a factor of 249 monomials against 4,001
-# relations takes 1.3 s, and the 9,801 corners of a 100-relation staircase
-# 0.6 s.  Listing the box of t^1000000 takes 2.1 s in process.
+# its box below the pure powers, m_index its staircase corners, exprs's ring
+# element and mixed element readers their monomials before they cancel, and
+# the CLI's ring-mul the monomial pairs of its product.  A mixed element needs
+# no budget of its own, as coefficient_nilpotency tests each monomial once
+# against each relation.  ring_multiply itself is unbudgeted, as the
+# divided-power engine and the axiom suites call it for every product they
+# form.  At the limit, end to end on one core of a 2-vCPU machine, the
+# costliest, ring-mul on 707 x 707 monomials over two variables, all products
+# distinct, takes 3.1 s and 140 MB, most of it printing the product; reading
+# a factor of 249 monomials against 4,001 relations takes 1.3 s, the 9,801
+# corners of a 100-relation staircase 0.6 s, and nilpotency --element with
+# 10,000 coefficient monomials over that staircase 2.4-3.2 s.  Listing the box
+# of t^1000000 takes 2.1 s in process.
 RING_WORK_BUDGET = Budget("ring monomials tested x max(1, relations)", 1_000_000)
-
-# Largest mixed element that exprs.parse_mixed_element reads: coefficient
-# monomials times relations, each monomial being tested against every
-# relation.  At the limit the closed form takes milliseconds.  It is kept
-# apart from RING_WORK_BUDGET: coefficient_nilpotency tests every doubling
-# of each monomial, and at a limit of 1,000,000 a 249-monomial coefficient
-# over the 4,001 relations u^a v^(4000-a) ran 7.3 s in process before
-# m_index refused the ring, against 0.15 s to refuse it here.  The oracle
-# squares all pairwise products of the monomials: for one 500-monomial
-# coefficient over GF(2)[t]/(t^1000000), a squaring costs 250,002 of
-# EXPANSION_BUDGET, so s = 1 is answered in 0.3 s end to end on one core of
-# a 2-vCPU machine and s = 2 is refused.
-ELEMENT_BUDGET = Budget("coefficient monomials x relations", 500)
 
 # Largest divided-power expansion, the work gr_gammas and gr_gamma charge as
 # they go, over the outermost call that opens the tally: k for the k + 1
@@ -262,24 +252,22 @@ class MixedElement:
 def coefficient_nilpotency(ring: ArtinRing, coef: RingElement) -> int:
     """Minimal s with coef^(2^s) = 0, for a coefficient in the maximal ideal.
 
-    Squaring is additive in characteristic 2, so coef^(2^s) is the sum of
-    the monomials 2^s * m over the monomials m of coef.  Distinct monomials
-    stay distinct under doubling, so nothing cancels: coef^(2^s) vanishes
-    exactly when a relation divides every 2^s * m.  The index is therefore
-    the largest, over m, of the least such s, at a cost linear in the
-    number of monomials.  A constant term is never nilpotent and raises
-    DomainError.
+    Squaring is additive in characteristic 2, and distinct monomials stay
+    distinct under doubling, so coef^(2^s) vanishes exactly when a relation
+    divides 2^s * m for every monomial m of coef.  A relation r divides
+    2^s * m exactly when m_k > 0 and 2^s * m_k >= r_k for every k with
+    r_k > 0: the least such s is the max over those k of
+    ((r_k - 1) // m_k).bit_length(), and there is none if one such m_k = 0.
+    The min of that over the relations is finite, as the pure power of a
+    variable of m qualifies, and the index is its max over m: one test of
+    each monomial against each relation, the work RING_WORK_BUDGET counts.
+    0 for the zero coefficient; a constant term raises DomainError.
     """
     if not in_maximal_ideal(ring, coef):
         raise DomainError("a coefficient with a constant term is not nilpotent")
-    index = 0
-    for m in coef:
-        s = 0
-        while ring.is_normal(m):
-            m = tuple(e << 1 for e in m)
-            s += 1
-        index = max(index, s)
-    return index
+    return max((min(max(((r - 1) // e).bit_length() for e, r in zip(m, rel) if r)
+                    for rel in ring.relations if all(e for e, r in zip(m, rel) if r))
+                for m in coef), default=0)
 
 
 def gamma2_nilpotency_index(w: MixedElement) -> int:

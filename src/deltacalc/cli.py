@@ -35,7 +35,6 @@ _BUDGETS = (
     ("sgens", gamma.GENERATOR_BUDGET),
     ("e1 text output", e1.TEXT_ROW_BUDGET),
     ("ring-mul, m-index, nilpotency, axioms' ring sampler", artin.RING_WORK_BUDGET),
-    ("nilpotency --element", artin.ELEMENT_BUDGET),
     ("act, nilpotency --oracle", artin.EXPANSION_BUDGET),
     ("act --on products", gamma.PRODUCT_BUDGET),
     ("axioms", artin.AXIOM_TRIAL_BUDGET),
@@ -219,8 +218,8 @@ def _cmd_m_index(args):
 def _cmd_nilpotency(args):
     ring = exprs.parse_ring(_arg_text(args.ring, "ring"))
     element = exprs.parse_mixed_element(_arg_text(args.element, "mixed element"), ring)
+    mi, bound = artin.nilpotency_bound(ring)  # refuses a ring over budget before any index
     index = artin.gamma2_nilpotency_index(element)
-    mi, bound = artin.nilpotency_bound(ring)
     payload = {
         "element": exprs.format_mixed_element(element),
         "index": index,

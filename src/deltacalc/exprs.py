@@ -297,10 +297,22 @@ def parse_ring_element(text: str, ring: artin.ArtinRing) -> artin.RingElement:
 
 
 def _load_json(text: str, what: str):
+    def unique_keys(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen: set = set()
+            key = next(k for k, _ in pairs if k in seen or seen.add(k))  # the first repeat
+            raise ParseError(f"invalid {what} JSON: duplicate key {json.dumps(key)}", text, 0)
+        return obj
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique_keys)
+    except ParseError:  # unique_keys's refusal, a ValueError like the last clause's
+        raise
     except json.JSONDecodeError as err:
         raise ParseError(f"invalid {what} JSON: {err.msg}", text, err.pos) from err
+    except RecursionError:
+        raise ParseError(f"invalid {what} JSON: nested too deeply to read", text, 0) from None
     except ValueError:  # an integer literal too long to convert
         raise ParseError(f"invalid {what} JSON: a number has too many digits to read",
                          text, 0) from None
@@ -346,8 +358,8 @@ def parse_ring(text: str) -> artin.ArtinRing:
 
 
 def parse_mixed_element(text: str, ring: artin.ArtinRing) -> artin.MixedElement:
-    """A mixed element over the ring, docs/mixed-element.schema.json; its monomials times the
-    relations are checked against artin.ELEMENT_BUDGET before any ring arithmetic."""
+    """A mixed element over the ring, docs/mixed-element.schema.json; its coefficients'
+    monomials, counted before they cancel, are checked with artin.check_ring_work first."""
     terms = _load_json(text, "mixed element")
     if not (isinstance(terms, list) and all(
             isinstance(t, dict) and set(t) == {"coef", "gen"}
@@ -355,7 +367,7 @@ def parse_mixed_element(text: str, ring: artin.ArtinRing) -> artin.MixedElement:
         raise ParseError('a mixed element is a list of {"coef": ring element, "gen": name}',
                          text, 0)
     parsed = [(_ring_monomials(t["coef"], ring.variables), t["gen"]) for t in terms]  # uncancelled
-    artin.ELEMENT_BUDGET.check(sum(len(monos) for monos, _ in parsed) * len(ring.relations))
+    artin.check_ring_work(ring, sum(len(monos) for monos, _ in parsed))
     return artin.MixedElement(ring, tuple((ring.element(monos), gen) for monos, gen in parsed))
 
 

@@ -183,12 +183,55 @@ def test_element_budget(monkeypatch):
         raise AssertionError("the element was normalized before it was refused")
 
     monkeypatch.setattr(artin.ArtinRing, "element", normalized)
-    # 126 + 125 monomials against 2 relations: 502 > the limit of ELEMENT_BUDGET
+    # 126 + 124 monomials against the 4,001 relations u^a v^(4000-a): 1,000,250 is over
+    # the limit of RING_WORK_BUDGET
+    staircase = artin.ArtinRing(("u", "v"), tuple((a, 4000 - a) for a in range(4001)))
     terms = [{"coef": " + ".join(f"u^{k}" for k in range(1, n + 1)), "gen": gen}
-             for n, gen in ((126, "x"), (125, "y"))]
-    with pytest.raises(DomainError, match="^coefficient monomials x relations reached 502, "
-                       "over the budget of 500$"):
-        exprs.parse_mixed_element(json.dumps(terms), UV)
+             for n, gen in ((126, "x"), (124, "y"))]
+    with pytest.raises(DomainError, match=r"^ring monomials tested x max\(1, relations\) "
+                       "reached 1,000,250, over the budget of 1,000,000$"):
+        exprs.parse_mixed_element(json.dumps(terms), staircase)
+
+
+def doubling_nilpotency(ring, coef):
+    """Oracle for coefficient_nilpotency: double each monomial until a relation divides it."""
+    index = 0
+    for m in coef:
+        s = 0
+        while ring.is_normal(m):
+            m = tuple(e << 1 for e in m)
+            s += 1
+        index = max(index, s)
+    return index
+
+
+# exponents up to 10^6, with the values at and next to powers of two, where the least s
+# changes; repeated squaring of such coefficients would be too slow to be an oracle here
+near_powers = st.integers(1, 19).flatmap(lambda k: st.sampled_from([2**k - 1, 2**k, 2**k + 1]))
+big_exponents = st.one_of(st.integers(1, 10**6), near_powers)
+
+
+@st.composite
+def big_rings_and_coefficients(draw):
+    nvars = draw(st.integers(1, 3))
+    pure = [draw(big_exponents) for _ in range(nvars)]
+    mixed = draw(st.lists(st.tuples(*[st.one_of(st.just(0), big_exponents)] * nvars).filter(any),
+                          max_size=5))
+    ring = artin.ArtinRing(tuple("abc"[:nvars]), tuple(
+        [tuple(p if j == k else 0 for j in range(nvars)) for k, p in enumerate(pure)] + mixed))
+    # each exponent below its variable's pure power, often at or next to a power of two
+    below = [st.one_of(st.integers(0, p - 1), st.sampled_from(
+        [0] + [e for k in range(20) for e in (2**k - 1, 2**k, 2**k + 1) if e < p]))
+        for p in pure]
+    monos = draw(st.lists(st.tuples(*below).filter(any), min_size=1, max_size=6))
+    return ring, ring.element(monos)
+
+
+@given(big_rings_and_coefficients())
+@settings(max_examples=300, deadline=None)
+def test_frobenius_index_matches_doubling_at_large_exponents(ring_and_coef):
+    ring, coef = ring_and_coef
+    assert artin.coefficient_nilpotency(ring, coef) == doubling_nilpotency(ring, coef)
 
 
 def test_nilpotency_index_examples():

@@ -152,6 +152,10 @@ def test_exit_codes(monkeypatch):
     assert run_json(["m-index", "--ring", huge]) == {"m_index": 10**8}
     payload = run_json(["nilpotency", "--ring", huge, "--element", '[{"coef":"t","gen":"x"}]'])
     assert (payload["m_index"], payload["index"], payload["index_bound"]) == (10**8, 27, 27)
+    # 501 monomials against 1 relation count 501 of the ring work budget, and cancel to one
+    payload = run_json(["nilpotency", "--ring", huge, "--element",
+                        json.dumps([{"coef": " + ".join(["t"] * 501), "gen": "x"}])])
+    assert (payload["element"], payload["index"], payload["index_bound"]) == ("(t) x", 27, 27)
     # 7 variables, relations (k,)*7 for k = 2..8 and pure powers 9: 8^7 corner candidates,
     # refused before any is tested (a tested one would be exit 1 here)
     over_grid = json.dumps({"vars": list("abcdefg"), "relations": [
@@ -179,9 +183,12 @@ def test_exit_codes(monkeypatch):
             (["m-index", "--ring", staircase], "budget"),
             (["nilpotency", "--ring", over_grid, "--element", '[{"coef":"a","gen":"x"}]'],
              "budget"),
-            # 501 monomials against 1 relation, counted before they cancel to one
-            (["nilpotency", "--ring", huge, "--element",
-              json.dumps([{"coef": " + ".join(["t"] * 501), "gen": "x"}])], "budget"),
+            # 3,323 monomials against 301 relations, counted before they cancel to one and
+            # before the ring's 90,000 corner candidates
+            (["nilpotency", "--ring", staircase, "--element",
+              json.dumps([{"coef": " + ".join(["u"] * 3323), "gen": "x"}])],
+             "ring monomials tested x max(1, relations) reached 1,000,223, over the budget of "
+             "1,000,000"),
             # k alone is over the divided-power budget, counted before any product
             (["act", "--i", "2", "--on", "g300001(x3)"], "budget"),
             # Adem rewriting: the search's products pass the budget in about 0.6 s,
@@ -389,7 +396,7 @@ def declared_budgets() -> dict[str, Budget]:
 def test_every_budget_is_stated_in_help():
     # each declared budget ends one line of --help, in its own measure's words
     budgets = declared_budgets()
-    assert len(budgets) == 11, sorted(budgets)
+    assert len(budgets) == 10, sorted(budgets)
     lines = cli.build_parser().format_help().splitlines()
     for name, budget in budgets.items():
         stated = f"{budget.measure} <= {budget.limit:,}"
@@ -399,7 +406,7 @@ def test_every_budget_is_stated_in_help():
 # sha256 (first 16 hex digits) of the stdout of `deltacalc [command] --help` at
 # COLUMNS=80, recorded on Python 3.11.7: argparse's layout differs between versions
 HELP_DIGESTS = {
-    "": "aa4c608a5eab51d8", "reduce": "a2019aa5e9b26928", "compose": "29304d6ca94b7b0d",
+    "": "23bab42d887a583b", "reduce": "a2019aa5e9b26928", "compose": "29304d6ca94b7b0d",
     "stats": "f4f312f7aa6a71d4", "annihilate": "9e019d53f07e381b", "theta": "a69f63d55c1ea7b6",
     "alpha2delta": "bdd0f6530e502c5c", "sgens": "56947db35fb406d5", "sbasis": "4b8809988c4a9621",
     "act": "57535aa59e033196", "probe": "943de2086c85f278", "e1": "432256fb1ae07898",
@@ -417,7 +424,8 @@ def test_every_help_text_is_pinned():
         argv = [sys.executable, "-m", "deltacalc", *filter(None, [command]), "--help"]
         result = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
         assert (result.returncode, result.stderr) == (0, ""), command
-        assert hashlib.sha256(result.stdout.encode()).hexdigest()[:16] == digest, command
+        found = hashlib.sha256(result.stdout.encode()).hexdigest()[:16]
+        assert found == digest, f"--help of {command or 'deltacalc'}: found digest {found!r}"
 
 
 def test_every_budget_is_stated_in_readme():
@@ -493,6 +501,37 @@ def test_input_files_are_capped_at_the_longest_argument(tmp_path):
                             capture_output=True, text=True, timeout=10,
                             preexec_fn=_cap_address_space)
     assert (result.returncode, result.stdout, result.stderr) == refused
+
+
+def test_nested_and_duplicate_key_json_exit_3(tmp_path):
+    # the decoder's recursion stops at about 1,000 levels of nesting; text past it is a
+    # syntax error, as it is for any text that is not one JSON value, and no internal error
+    t3 = tmp_path / "t3.json"
+    t3.write_text(_T3)
+    nested = tmp_path / "nested.json"
+    for depth in (1_000, 100_000):
+        nested.write_text("[" * depth)
+        for opt, argv in (("--hq", ["sbasis", "--max-degree", "8"]),
+                          ("--hq", ["e1", "--max-t", "8"]),
+                          ("--ring", ["m-index"]),
+                          ("--ring", ["ring-mul", "t", "t"]),
+                          ("--element", ["nilpotency", "--ring", str(t3)])):
+            for value in ("[" * depth, str(nested)):
+                code, out, err = run_cli([*argv, opt, value])
+                assert (code, out) == (3, ""), (argv, depth, err)
+                assert err.startswith("deltacalc: line 1, column 1: invalid ")
+                assert err.endswith(" JSON: nested too deeply to read\n"), (argv, depth, err)
+    # a repeated key is refused, not answered for its last value
+    for argv, what, key in (
+            (["sbasis", "--hq", '{"1": 1, "1": 2}', "--max-degree", "6"], "dimension table", "1"),
+            (["e1", "--hq", '{"2": 1, "3": 1, "2": 1}', "--max-t", "6"], "dimension table", "2"),
+            (["m-index", "--ring", '{"vars": ["t"], "relations": ["t^3"], "relations": ["t^2"]}'],
+             "ring", "relations"),
+            (["nilpotency", "--ring", _T3, "--element",
+              '[{"coef": "t", "gen": "x"}, {"coef": "t", "gen": "y", "gen": "z"}]'],
+             "mixed element", "gen")):
+        assert run_cli(argv) == (3, "", f"deltacalc: line 1, column 1: invalid {what} JSON: "
+                                 f'duplicate key "{key}"\n'), argv
 
 
 def test_stats_and_theta_payloads(validators):

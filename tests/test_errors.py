@@ -1,6 +1,7 @@
 import pytest
 
-from deltacalc.errors import Budget, DomainError
+from adem_reference import binom_mod2
+from deltacalc.errors import INDEX_LIMIT, Budget, DomainError, RangeError
 
 
 def test_budget_tally_spans_the_outermost_open():
@@ -27,3 +28,10 @@ def test_budget_tally_spans_the_outermost_open():
     assert str(charged.value) == str(checked.value) == "units reached 11, over the budget of 10"
     with budget:
         assert budget.spent == 0
+
+
+def test_binom_mod2_range_guard():
+    with pytest.raises(RangeError):
+        binom_mod2(INDEX_LIMIT, 1)
+    with pytest.raises(DomainError):
+        binom_mod2(-1, 0)

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from deltacalc import artin, exprs, gamma
 from deltacalc import words as wd
 from deltacalc.errors import DomainError
+from deltacalc.gamma import GradedDims
 
 DATA = Path(__file__).parent / "data"
 
@@ -196,6 +197,20 @@ def test_weight_slices_sum_to_totals():
         for d in range(21):
             total = sum(t[d] for t in basis.by_weight.values())
             assert total == basis.by_degree[d]
+
+
+def test_graded_dims_json_round_trip():
+    table = GradedDims({0: 1, 2: 1})
+    assert table.to_json() == {"0": 1, "2": 1}
+    assert exprs.parse_graded_dims('{"0": 1, "2": 1}') == table
+    assert exprs.parse_graded_dims("{}") == GradedDims()
+
+
+def test_graded_dims_rejects_negatives():
+    with pytest.raises(DomainError):
+        GradedDims({-1: 1})
+    with pytest.raises(DomainError):
+        GradedDims({1: -1})
 
 
 # --- the action -----------------------------------------------------------
@@ -438,3 +453,56 @@ def test_probe_domain_boundary():
         exprs.parse_probe_kind("frobenius")
     with pytest.raises(DomainError):
         gamma.nilpotency_probe(0, x(3), -2)
+
+
+# The probe popcount law, the probe's side of annihilate's popcount law (tests/test_words.py):
+# on delta_b x_n with 2 <= b < n and 1 <= K <= n + b - 2, let m = K - (n - b).  The probe
+# alpha:K never vanishes when m <= 0, and otherwise has order popcount(m).  The half m <= 0
+# is proved: the first step's pair (n + b - K, b) is admissible, and each later step prepends
+# twice the last index, so the iterate stays a generator of excess n - K.  The half m >= 1 is
+# observed.  On longer generator words the excess e(I) takes b's place, and popcount(m) is
+# only an upper bound: alpha:15 on d8 d2 x8 has m = 13 and order 1.
+
+def probe_for_the_law(n, word, K, horizon):
+    """The probe alpha:K from delta_word x_n with its m, run popcount(m) steps when m >= 1,
+    the most the law allows before it vanishes, and horizon steps otherwise."""
+    m = K - (n - wd.excess(word))
+    return m, gamma.nilpotency_probe(K, x(n, 1, word), m.bit_count() if m >= 1 else horizon)
+
+
+def assert_probe_popcount_law(n, b, K, horizon):
+    m, result = probe_for_the_law(n, (b,), K, horizon)
+    if m <= 0:
+        assert result.status == "nonvanishing", (n, b, K)
+    else:
+        assert (result.status, result.order) == ("nilpotent", m.bit_count()), (n, b, K)
+
+
+def test_probe_order_is_the_popcount_on_a_grid():
+    # every b and K for n <= 40: 29,640 cases, 9,880 of them nonvanishing
+    for n in range(3, 41):
+        for b in range(2, n):
+            for K in range(1, n + b - 1):
+                assert_probe_popcount_law(n, b, K, horizon=4)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_probe_order_is_the_popcount_at_larger_n(data):
+    n = data.draw(st.integers(3, 400))
+    b = data.draw(st.integers(2, n - 1))
+    assert_probe_popcount_law(n, b, data.draw(st.integers(1, n + b - 2)), horizon=6)
+
+
+@given(st.integers(2, 12), st.lists(st.integers(0, 10), min_size=1, max_size=2),
+       st.integers(0, 40), st.data())
+@settings(max_examples=300, deadline=None)
+def test_probe_on_words_of_two_or_three_indices(last, slack, extra, data):
+    word = (last,)
+    for d in slack:  # admissible: each index at least twice the one to its right
+        word = (2 * word[0] + d, *word)
+    n = wd.excess(word) + 1 + extra
+    m, result = probe_for_the_law(n, word, data.draw(st.integers(1, n + sum(word) - 2)),
+                                  horizon=6)
+    # vanishing within popcount(m) steps when m >= 1 bounds the order by popcount(m)
+    assert (result.status == "nilpotent") == (m >= 1), (n, word, m)

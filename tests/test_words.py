@@ -106,6 +106,45 @@ def test_adem_pair_range_contract_matches_the_coefficient_loop():
         f"delta index {INDEX_LIMIT} exceeds 2^32")
 
 
+def pascal_parity(n_max):
+    """Independent oracle: Pascal's recurrence carried out mod 2."""
+    rows = [[1]]
+    for n in range(1, n_max + 1):
+        prev = rows[-1]
+        rows.append([1] + [(prev[k - 1] + prev[k]) % 2 for k in range(1, n)] + [1])
+    return rows
+
+
+def test_binom_mod2_spot_values():
+    assert binom_mod2(1, 1) == 1
+    assert binom_mod2(4, 2) == 0  # C(4,2) = 6
+    for n in (0, 1, 5, 1000):
+        assert binom_mod2(n, 0) == 1
+
+
+def test_binom_mod2_k_above_n_gives_zero():
+    assert binom_mod2(3, 5) == 0
+    assert binom_mod2(0, 1) == 0
+
+
+def test_binom_mod2_against_pascal_recurrence():
+    rows = pascal_parity(64)
+    for n in range(65):
+        for k in range(n + 1):
+            assert binom_mod2(n, k) == rows[n][k], (n, k)
+
+
+@given(st.integers(0, 10**6), st.integers(0, 10**6))
+def test_binom_mod2_symmetry(n, k):
+    if k <= n:
+        assert binom_mod2(n, k) == binom_mod2(n, n - k)
+
+
+@given(st.integers(0, 10**6), st.integers(0, 10**6))
+def test_binom_mod2_bit_subset_criterion(n, k):
+    assert binom_mod2(n, k) == (1 if k & ~n == 0 else 0)
+
+
 def test_reduce_examples():
     assert wd.reduce([(4, 2)]) == frozenset({(4, 2)})
     assert wd.reduce([(3, 4, 2)]) == wd.ZERO
