@@ -69,7 +69,7 @@ def _arg_text(value: str, what: str) -> str:
     try:
         with open(value, "r", encoding="utf-8") as fh:
             text = fh.read(FILE_BUDGET.limit + 1)
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise DomainError(f"cannot read {what} file {value!r}: {err}") from err
     FILE_BUDGET.check(len(text))
     return text
@@ -266,6 +266,46 @@ def _cmd_axioms(args):
     return payload, "\n".join(lines)
 
 
+# Argument specs that several subcommands share, as add_argument's keyword arguments
+_INT = {"type": int, "required": True}
+_HQ = {"required": True, "help": "graded dims (inline JSON or a file)"}
+
+# Every subcommand, in --help order: its handler, its help line and its arguments,
+# each as {flag: add_argument kwargs}; argparse derives each dest from its flag
+_COMMANDS = {
+    "reduce": (_cmd_reduce, "rewrite a sum of delta words to admissible form", {"expr": {}}),
+    "compose": (_cmd_compose, "concatenate two elements and reduce", {"left": {}, "right": {}}),
+    "stats": (_cmd_stats, "excess/degree/length/admissibility of a word", {"word": {}}),
+    "annihilate": (_cmd_annihilate, "least s with theta(s,t) * delta_j reducing to zero",
+                   {"--j": _INT, "--t": _INT, "--max-s": {"type": int, "default": 16}}),
+    "theta": (_cmd_theta, "the doubling composite theta(s,t)", {"--s": _INT, "--t": _INT}),
+    "alpha2delta": (_cmd_alpha2delta, "convert an alpha word on a given degree", {
+        "--word": {"required": True, "help": "alpha indices as comma-separated decimal "
+                   "integers, e.g. 1,0, applied rightmost first"},
+        "--degree": _INT}),
+    "sgens": (_cmd_sgens, "free divided-power generators on x_n",
+              {"--n": _INT, "--max-degree": _INT}),
+    "sbasis": (_cmd_sbasis, "basis dimensions of the free algebra",
+               {"--hq": _HQ, "--max-degree": _INT, "--by-weight": {"action": "store_true"}}),
+    "act": (_cmd_act, "apply delta_i to an element", {"--i": _INT, "--on": {"required": True}}),
+    "probe": (_cmd_probe, "iterate an operation on the indecomposables", {
+        "--kind": {"required": True, "help": "gamma2 | andre | alpha:K (K an integer): "
+                   "iterate delta_(deg-K); gamma2 is alpha:0, andre alpha:1"},
+        "--gen": {"required": True}, "--max-iter": _INT}),
+    "e1": (_cmd_e1, "first-page dimension table", {"--hq": _HQ, "--max-t": _INT}),
+    "ring-mul": (_cmd_ring_mul, "normal-form product in a monomial quotient ring",
+                 {"--ring": {"required": True}, "left": {}, "right": {}}),
+    "m-index": (_cmd_m_index, "nilpotency exponent of the maximal ideal",
+                {"--ring": {"required": True}}),
+    "nilpotency": (_cmd_nilpotency, "divided-square nilpotency index of a mixed element", {
+        "--ring": {"required": True},
+        "--element": {"required": True, "help": "mixed element JSON"},
+        "--oracle": {"action": "store_true"}, "--s": {"type": int, "default": 2}}),
+    "axioms": (_cmd_axioms, "fuzz the divided power axioms",
+               {"--trials": {"type": int, "default": 200}}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="deltacalc",
@@ -280,99 +320,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized verification commands")
     sub = parser.add_subparsers(dest="command", metavar="command")
-
-    def cmd(name, handler, help_, configure):
+    for name, (_, help_, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_)
         p.add_argument("--format", choices=("text", "json"), default=argparse.SUPPRESS)
         p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-        configure(p)
-        p.set_defaults(handler=handler)
-
-    cmd("reduce", _cmd_reduce, "rewrite a sum of delta words to admissible form",
-        lambda p: p.add_argument("expr"))
-    cmd("compose", _cmd_compose, "concatenate two elements and reduce",
-        lambda p: (p.add_argument("left"), p.add_argument("right")))
-    cmd("stats", _cmd_stats, "excess/degree/length/admissibility of a word",
-        lambda p: p.add_argument("word"))
-
-    def conf_annihilate(p):
-        p.add_argument("--j", type=int, required=True)
-        p.add_argument("--t", type=int, required=True)
-        p.add_argument("--max-s", type=int, default=16, dest="max_s")
-    cmd("annihilate", _cmd_annihilate,
-        "least s with theta(s,t) * delta_j reducing to zero", conf_annihilate)
-
-    def conf_theta(p):
-        p.add_argument("--s", type=int, required=True)
-        p.add_argument("--t", type=int, required=True)
-    cmd("theta", _cmd_theta, "the doubling composite theta(s,t)", conf_theta)
-
-    def conf_a2d(p):
-        p.add_argument("--word", required=True,
-                       help="alpha indices as comma-separated decimal integers, "
-                       "e.g. 1,0, applied rightmost first")
-        p.add_argument("--degree", type=int, required=True)
-    cmd("alpha2delta", _cmd_alpha2delta, "convert an alpha word on a given degree",
-        conf_a2d)
-
-    def conf_sgens(p):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--max-degree", type=int, required=True, dest="max_degree")
-    cmd("sgens", _cmd_sgens, "free divided-power generators on x_n", conf_sgens)
-
-    def conf_sbasis(p):
-        p.add_argument("--hq", required=True, help="graded dims (inline JSON or a file)")
-        p.add_argument("--max-degree", type=int, required=True, dest="max_degree")
-        p.add_argument("--by-weight", action="store_true", dest="by_weight")
-    cmd("sbasis", _cmd_sbasis, "basis dimensions of the free algebra", conf_sbasis)
-
-    def conf_act(p):
-        p.add_argument("--i", type=int, required=True)
-        p.add_argument("--on", required=True)
-    cmd("act", _cmd_act, "apply delta_i to an element", conf_act)
-
-    def conf_probe(p):
-        p.add_argument("--kind", required=True, help="gamma2 | andre | alpha:K (K an integer): "
-                       "iterate delta_(deg-K); gamma2 is alpha:0, andre alpha:1")
-        p.add_argument("--gen", required=True)
-        p.add_argument("--max-iter", type=int, required=True, dest="max_iter")
-    cmd("probe", _cmd_probe, "iterate an operation on the indecomposables", conf_probe)
-
-    def conf_e1(p):
-        p.add_argument("--hq", required=True, help="graded dims (inline JSON or a file)")
-        p.add_argument("--max-t", type=int, required=True, dest="max_t")
-    cmd("e1", _cmd_e1, "first-page dimension table", conf_e1)
-
-    def conf_ring_mul(p):
-        p.add_argument("--ring", required=True)
-        p.add_argument("left")
-        p.add_argument("right")
-    cmd("ring-mul", _cmd_ring_mul, "normal-form product in a monomial quotient ring",
-        conf_ring_mul)
-    cmd("m-index", _cmd_m_index, "nilpotency exponent of the maximal ideal",
-        lambda p: p.add_argument("--ring", required=True))
-
-    def conf_nilpotency(p):
-        p.add_argument("--ring", required=True)
-        p.add_argument("--element", required=True, help="mixed element JSON")
-        p.add_argument("--oracle", action="store_true")
-        p.add_argument("--s", type=int, default=2)
-    cmd("nilpotency", _cmd_nilpotency,
-        "divided-square nilpotency index of a mixed element", conf_nilpotency)
-    cmd("axioms", _cmd_axioms, "fuzz the divided power axioms",
-        lambda p: p.add_argument("--trials", type=int, default=200))
-
+        for flag, kwargs in arguments.items():
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "handler", None) is None:
+    if args.command is None:
         parser.print_help(sys.stderr)
         return EXIT_USAGE
     try:
-        payload, text = args.handler(args)
+        payload, text = _COMMANDS[args.command][0](args)
         if args.format == "text" and callable(text):
             text = text()
     except ValueError as err:  # ParseError, RangeError and DomainError among them
@@ -381,7 +345,8 @@ def main(argv=None) -> int:
             return EXIT_SYNTAX
         return EXIT_RANGE if isinstance(err, RangeError) else EXIT_DOMAIN
     except Exception as err:  # inputs are checked above, so this is a fault in deltacalc
-        print(f"deltacalc: internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        print(_one_line(f"deltacalc: internal error: {type(err).__name__}: {err}"),
+              file=sys.stderr)
         return EXIT_INTERNAL
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))

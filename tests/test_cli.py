@@ -114,6 +114,17 @@ def test_e1_example():
     assert sorted(payload["entries"], key=lambda e: e["t"]) == expected
 
 
+def test_internal_error_is_one_cut_line(monkeypatch):
+    # a fault in deltacalc, not in the input, exits 1 with one line cut like every other
+    def fault(words):
+        raise RuntimeError("x" * 500)
+
+    monkeypatch.setattr(cli.wd, "reduce", fault)
+    code, out, err = run_cli(["reduce", "d5 d4"])
+    assert (code, out) == (1, "") and err.count("\n") == 1 and len(err) <= 201, err
+    assert err.startswith("deltacalc: internal error: RuntimeError: "), err
+
+
 def test_exit_codes(monkeypatch):
     code, _, err = run_cli(["reduce", "d1 d4"])
     assert code == 3 and "delta index 1" in err
@@ -454,6 +465,16 @@ def test_readme_layout_names_every_module():
     assert set(named) == modules - {"__init__", "__main__"}, named
 
 
+def test_readme_cli_block_names_every_command():
+    # README's sh block under "## CLI" shows each subcommand of the table once, so a
+    # command added to the table needs an example there
+    lines = (DOCS.parent / "README.md").read_text().splitlines()
+    start = lines.index("```sh", lines.index("## CLI"))
+    block = itertools.takewhile(lambda line: line != "```", lines[start + 1:])
+    named = [line.split()[1] for line in block if line.startswith("deltacalc ")]
+    assert sorted(named) == sorted(cli._COMMANDS), named
+
+
 def test_act_counts_its_atoms_and_its_action_on_one_tally(monkeypatch):
     # reading d2 d40 x50 rewrites d2 d40, which costs 16, and acting with d4 on its three
     # terms costs 36: act is answered within 52 and refused below it, though each part fits
@@ -488,6 +509,10 @@ def test_input_files_are_capped_at_the_longest_argument(tmp_path):
         code, out, err = run_cli([*argv, opt, str(tmp_path / "missing.json")])
         assert code == 4 and out == "" and err.startswith("deltacalc: cannot read "), (opt, err)
         assert err.count("\n") == 1, (opt, err)
+        path.write_bytes(b"\xff" + text.encode())  # not UTF-8: the line names the file
+        code, out, err = run_cli([*argv, opt, str(path)])
+        assert code == 4 and out == "" and err.startswith("deltacalc: cannot read "), (opt, err)
+        assert f" file {str(path)!r}: 'utf-8' codec can't decode byte 0xff" in err, (opt, err)
     # 16 MB of ring element: reading it whole took 13.7 s and 1.07 GB, and raised
     # MemoryError under the fuzz's address-space cap
     big = tmp_path / "big.json"

@@ -438,12 +438,52 @@ def test_annihilation_order_matches_reduce_of_the_whole_word():
         assert wd.annihilation_order(j, 2, s_max=expected - 1) is None, j
 
 
+# Proof that order(2^t + m, t) <= popcount(m) for m >= 1.
+#
+# Adem step.  theta(s, t) = theta(s - 1, t + 1) delta_(2^(t+1)).  With j = 2^t + m, the
+# Adem terms of delta_(2^(t+1)) delta_j are delta_a delta_s for s = 2^t + u, 1 <= u <= m // 3
+# (the range of _adem).  Write v = m - u.  By Lucas's theorem a term is odd exactly when
+# v & (2u - 1) = 0, since j - s = v and 2s - 2^(t+1) - 1 = 2u - 1, so t drops out.  Its
+# first index is a = 2^(t+1) + v, and v >= 2m/3 > 0.
+#
+# Lemma: if v & (2u - 1) = 0, then popcount(v + u) > popcount(v).  Let b be the lowest set
+# bit of u.  Since 2u - 1 = 2(u - 2^b) + (2^(b+1) - 1), v has 0 at bits 0..b and at bit
+# c + 1 for every set bit c > b of u.  Add u to v one maximal run p..q of 1 bits of u at a
+# time:
+# - a run above b: bits p+1..q+1 of v are 0.  If bit p of v is 0, the run gains q - p + 1
+#   bits with no carry; if it is 1, the carry clears bit p, runs through the zeros p+1..q
+#   and sets bit q + 1, a gain of 0;
+# - the run that starts at b: bit b of v is 0 and becomes 1, and bits b+2..q+1 are 0, so
+#   bits b+1..q either all gain or carry into bit q + 1 at no net cost: a gain of at least 1;
+# - every carry stops at bit q + 1, where v is 0, below the next run, which starts at
+#   q + 2 or above; so no carry passes from one run to the next, and the gains add.
+#
+# Induction on popcount(m), for every t at once.  When popcount(m) = 1, v + u = m would need
+# popcount(v) = 0, but v > 0: there are no terms, delta_(2^(t+1)) delta_j = 0 and the order
+# is 1.  Otherwise every term has popcount(v) < popcount(m), so by induction
+# theta(popcount(m) - 1, t + 1) kills delta_(2^(t+1) + v), and so theta(popcount(m), t)
+# kills delta_j.  The lower bound, order >= popcount(m), is observed below, not proved.
+
+
 def test_annihilation_order_is_the_popcount_of_the_offset():
-    # an observed closed form, not a theorem: theta(s, t) kills delta_(2^t + o)
-    # first at s = the number of 1 bits of o
+    # theta(s, t) kills delta_(2^t + o) first at s = the number of 1 bits of o: at most
+    # that by the proof above, and exactly that on every offset checked
     for t in range(8):
         for o in range(1, 513):
             assert wd.annihilation_order(2**t + o, t) == o.bit_count(), (t, o)
+
+
+def test_annihilation_adem_step_terms_lower_the_popcount():
+    # the Adem step of the proof above: delta_(2^(t+1)) delta_(2^t + m) has exactly the
+    # terms s = 2^t + u, 1 <= u <= m // 3, with (m - u) & (2u - 1) = 0, and the lemma
+    # gives popcount(m - u) < popcount(m) for each
+    with wd.ADEM_BUDGET:
+        for t in range(3):
+            for m in range(1, 2**10):
+                terms = [s - 2**t for s in wd._adem(2 ** (t + 1), 2**t + m)]
+                odd = [u for u in range(1, m // 3 + 1) if not (m - u) & (2 * u - 1)]
+                assert terms == odd, (t, m)
+                assert all((m - u).bit_count() < m.bit_count() for u in terms), (t, m)
 
 
 def _assert_popcount_order(t, o):
