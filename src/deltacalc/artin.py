@@ -26,7 +26,7 @@ ring elements and mixed elements, and prints them.
 from __future__ import annotations
 
 from itertools import product
-from math import prod
+from math import inf, prod
 from operator import add, ge
 
 from .errors import Budget, DomainError, check_index
@@ -44,11 +44,11 @@ RingElement = frozenset  # frozenset[tuple[int, ...]] of normal-form exponent ve
 # divided-power engine and the axiom suites call it for every product they
 # form.  At the limit, end to end on one core of a 2-vCPU machine, the
 # costliest, ring-mul on 707 x 707 monomials over two variables, all products
-# distinct, takes 3.1 s and 140 MB, most of it printing the product; reading
-# a factor of 249 monomials against 4,001 relations takes 1.3 s, the 9,801
-# corners of a 100-relation staircase 0.6 s, and nilpotency --element with
-# 10,000 coefficient monomials over that staircase 2.4-3.2 s.  Listing the box
-# of t^1000000 takes 2.1 s in process.
+# distinct, takes 1.4-1.9 s and 126 MB, about half of it printing the product;
+# reading a factor of 249 monomials against 4,001 relations takes 0.4-0.6 s,
+# the 9,801 corners of a 100-relation staircase 0.2 s, and nilpotency
+# --element with 10,000 coefficient monomials over that staircase 0.7-0.9 s.
+# Listing the box of t^1000000 takes 0.4 s in process.
 RING_WORK_BUDGET = Budget("ring monomials tested x max(1, relations)", 1_000_000)
 
 # Largest divided-power expansion, the work gr_gammas and gr_gamma charge as
@@ -133,7 +133,10 @@ class ArtinRing:
         return frozenset()
 
     def is_normal(self, mono: tuple[int, ...]) -> bool:
-        return not any(all(m >= r for m, r in zip(mono, rel)) for rel in self.relations)
+        for rel in self.relations:
+            if all(map(ge, mono, rel)):
+                return False
+        return True
 
     def element(self, monomials) -> RingElement:
         """Normalize a GF(2) sum of exponent vectors."""
@@ -265,9 +268,24 @@ def coefficient_nilpotency(ring: ArtinRing, coef: RingElement) -> int:
     """
     if not in_maximal_ideal(ring, coef):
         raise DomainError("a coefficient with a constant term is not nilpotent")
-    return max((min(max(((r - 1) // e).bit_length() for e, r in zip(m, rel) if r)
-                    for rel in ring.relations if all(e for e, r in zip(m, rel) if r))
-                for m in coef), default=0)
+    worst = 0
+    for m in coef:
+        best = inf
+        for rel in ring.relations:
+            s = 0
+            for e, r in zip(m, rel):
+                if r:
+                    if not e:
+                        break
+                    t = ((r - 1) // e).bit_length()
+                    if t > s:
+                        s = t
+            else:
+                if s < best:
+                    best = s
+        if best > worst:
+            worst = best
+    return worst
 
 
 def gamma2_nilpotency_index(w: MixedElement) -> int:

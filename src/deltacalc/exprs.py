@@ -33,6 +33,8 @@ from __future__ import annotations
 import json
 import re
 from functools import reduce
+from math import prod
+from operator import mul
 
 from . import artin, gamma
 from . import words as wd
@@ -56,18 +58,14 @@ class ParseError(ValueError):
 class _Tokens:
     def __init__(self, text: str, spec: list[tuple[str, str]]):
         self.text = text
-        pattern = re.compile("|".join(f"(?P<{k}>{p})" for k, p in spec))
+        # every match skips whitespace to one token or to the first BAD character
+        alternatives = "|".join(f"(?P<{k}>{p})" for k, p in spec)
         self.items: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            if text[pos].isspace():
-                pos += 1
-                continue
-            m = pattern.match(text, pos)
-            if not m:
-                raise ParseError(f"unexpected character {text[pos]!r}", text, pos)
-            self.items.append((m.lastgroup, m.group(), pos))
-            pos = m.end()
+        for m in re.finditer(rf"\s*(?:{alternatives}|(?P<BAD>\S))", text):
+            kind, pos = m.lastgroup, m.start(m.lastgroup)
+            if kind == "BAD":
+                raise ParseError(f"unexpected character {m[kind]!r}", text, pos)
+            self.items.append((kind, m[kind], pos))
         self.k = 0
 
     def peek(self) -> tuple[str, str, int] | None:
@@ -446,7 +444,12 @@ def format_ring_monomial(mono: tuple[int, ...], variables: tuple[str, ...]) -> s
 def format_ring_element(elem: artin.RingElement, ring: artin.ArtinRing) -> str:
     if not elem:
         return "0"
-    ordered = sorted(elem, key=lambda m: (sum(m), m), reverse=True)
+    # (sum(m), m) as one integer: a normal m lies below the pure powers b, so
+    # sum(m) * prod(b) + (the mixed-radix index of m over b) orders the same;
+    # weights[k] is m[k]'s coefficient in that sum
+    bounds = ring.pure_powers
+    weights = [prod(bounds) + prod(bounds[k + 1:]) for k in range(len(bounds))]
+    ordered = sorted(elem, key=lambda m: sum(map(mul, m, weights)), reverse=True)
     return " + ".join(format_ring_monomial(m, ring.variables) for m in ordered)
 
 

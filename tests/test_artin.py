@@ -95,6 +95,35 @@ def test_index_within_bound_on_random_rings(ring, data):
     assert artin.gamma2_nilpotency_index(w) <= bound
 
 
+def generator_is_normal(ring, mono):
+    """is_normal as one generator expression, the oracle of its loop."""
+    return not any(all(m >= r for m, r in zip(mono, rel)) for rel in ring.relations)
+
+
+@given(small_rings(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_is_normal_matches_the_generator_form(ring, data):
+    monos = data.draw(st.lists(st.tuples(*[st.integers(0, 10)] * len(ring.variables)),
+                               max_size=20))
+    assert [ring.is_normal(m) for m in monos] == [generator_is_normal(ring, m) for m in monos]
+
+
+def tuple_key_text(ring, elem):
+    """format_ring_element with its order by the tuple key (sum(m), m), descending."""
+    ordered = sorted(elem, key=lambda m: (sum(m), m), reverse=True)
+    return " + ".join(exprs.format_ring_monomial(m, ring.variables) for m in ordered) or "0"
+
+
+@given(small_rings(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_ring_printing_order_matches_the_tuple_key(ring, data):
+    monos = ring.normal_monomials()
+    picks = data.draw(st.one_of(st.lists(st.sampled_from(monos), max_size=12), st.just(monos)))
+    for r, elem in ((ring, ring.element(picks)), (ring, ring.one()), (ring, ring.zero()),
+                    (artin.F2, artin.F2.one()), (artin.F2, artin.F2.zero())):
+        assert exprs.format_ring_element(elem, r) == tuple_key_text(r, elem)
+
+
 def test_ring_json_round_trip():
     ring = exprs.parse_ring('{"vars": ["u", "v"], "relations": ["u^2", "v^3"]}')
     assert ring.variables == ("u", "v")

@@ -1,6 +1,8 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deltacalc import exprs, gamma
 from deltacalc.artin import ArtinRing
@@ -126,3 +128,50 @@ def test_round_trip_ring_elements():
         element = ring.element(rng.sample(monos, k=rng.randint(0, 4)))
         text = exprs.format_ring_element(element, ring)
         assert exprs.parse_ring_element(text, ring) == element
+
+
+# --- the scanner against a per-character reference ---------------------------
+
+class ReferenceTokens:
+    """The scanner as a loop: whitespace skipped one character at a time and one
+    ``pattern.match`` per token, the oracle of exprs._Tokens's single finditer pass."""
+
+    def __init__(self, text, spec):
+        pattern = re.compile("|".join(f"(?P<{k}>{p})" for k, p in spec))
+        self.items = []
+        pos = 0
+        while pos < len(text):
+            if text[pos].isspace():
+                pos += 1
+                continue
+            m = pattern.match(text, pos)
+            if not m:
+                raise exprs.ParseError(f"unexpected character {text[pos]!r}", text, pos)
+            self.items.append((m.lastgroup, m.group(), pos))
+            pos = m.end()
+
+
+def scan(tokens, text, spec):
+    """The token list, or the error's text, line, column and position."""
+    try:
+        return tokens(text, spec).items
+    except exprs.ParseError as err:
+        return str(err), err.line, err.column, err.pos
+
+
+# whitespace of several kinds, Unicode's included
+SPACES = st.text(" \t\n\r\x0b\x0c\x1c\x85\u00a0\u2003\u2028\u3000", max_size=3)
+# tokens of each grammar, close misses and characters no grammar accepts
+PIECES = ["d4", "d12", "e", "0", "1", "+", "*", "^", "(", ")", ",", ":", "-", "-7", "x3",
+          "x3:2", "g2", "u", "v_1", "Z", "_", "9", "\u0663", "!", "\u00e9", "d", "x", "g", "#"]
+texts = st.one_of(st.lists(SPACES | st.sampled_from(PIECES), max_size=24).map("".join),
+                  st.text(max_size=20))
+SPECS = {"delta": exprs._DELTA_SPEC, "s element": exprs._S_SPEC, "ring": exprs._RING_SPEC,
+         "alpha": exprs._ALPHA_SPEC}
+
+
+@given(st.sampled_from(sorted(SPECS)), texts)
+@settings(max_examples=1000, deadline=None)
+def test_scanner_matches_the_per_character_reference(spec, text):
+    # texts that scan give the same token list; all others the same ParseError
+    assert scan(exprs._Tokens, text, SPECS[spec]) == scan(ReferenceTokens, text, SPECS[spec])
