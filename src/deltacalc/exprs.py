@@ -58,10 +58,11 @@ class ParseError(ValueError):
 class _Tokens:
     def __init__(self, text: str, spec: list[tuple[str, str]]):
         self.text = text
-        # every match skips whitespace to one token or to the first BAD character
+        # every match skips whitespace to one token or to the first BAD character;
+        # trailing whitespace is cut first, where \s* would backtrack quadratically
         alternatives = "|".join(f"(?P<{k}>{p})" for k, p in spec)
         self.items: list[tuple[str, str, int]] = []
-        for m in re.finditer(rf"\s*(?:{alternatives}|(?P<BAD>\S))", text):
+        for m in re.finditer(rf"\s*(?:{alternatives}|(?P<BAD>\S))", text.rstrip()):
             kind, pos = m.lastgroup, m.start(m.lastgroup)
             if kind == "BAD":
                 raise ParseError(f"unexpected character {m[kind]!r}", text, pos)

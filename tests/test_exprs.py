@@ -175,3 +175,13 @@ SPECS = {"delta": exprs._DELTA_SPEC, "s element": exprs._S_SPEC, "ring": exprs._
 def test_scanner_matches_the_per_character_reference(spec, text):
     # texts that scan give the same token list; all others the same ParseError
     assert scan(exprs._Tokens, text, SPECS[spec]) == scan(ReferenceTokens, text, SPECS[spec])
+
+
+@pytest.mark.parametrize("spec", sorted(SPECS))
+def test_scanner_is_linear_in_long_whitespace_runs(spec):
+    # a run reaching the end of the text is where \s* would backtrack: 100,000
+    # spaces take milliseconds in one pass and minutes when scanned quadratically
+    run = " " * 100_000
+    for text in (run, " \t\x85" * 33_334, "1" + run, "d1" + run, "u" + run + "2" + run,
+                 run + "!" + run):
+        assert scan(exprs._Tokens, text, SPECS[spec]) == scan(ReferenceTokens, text, SPECS[spec])
