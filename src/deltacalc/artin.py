@@ -44,10 +44,10 @@ RingElement = frozenset  # frozenset[tuple[int, ...]] of normal-form exponent ve
 # divided-power engine and the axiom suites call it for every product they
 # form.  At the limit, end to end on one core of a 2-vCPU machine, the
 # costliest, ring-mul on 707 x 707 monomials over two variables, all products
-# distinct, takes 1.4-1.9 s and 126 MB, about half of it printing the product;
-# reading a factor of 249 monomials against 4,001 relations takes 0.4-0.6 s,
-# the 9,801 corners of a 100-relation staircase 0.2 s, and nilpotency
-# --element with 10,000 coefficient monomials over that staircase 0.7-0.9 s.
+# distinct, takes 1.5-2.5 s and 127 MB, about half of it printing the product;
+# reading a factor of 249 monomials against 4,001 relations takes 0.2-0.4 s,
+# the 9,801 corners of a 100-relation staircase 0.2-0.3 s, and nilpotency
+# --element with 10,000 coefficient monomials over that staircase 0.8-1.2 s.
 # Listing the box of t^1000000 takes 0.4 s in process.
 RING_WORK_BUDGET = Budget("ring monomials tested x max(1, relations)", 1_000_000)
 
